@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import ehrhart as eh
 from . import ideal as id_
@@ -66,13 +64,6 @@ def _trees_for(args) -> list:
     if args.tree is not None:
         return [parse_newick(args.tree)]
     return enumerate_topologies(args.leaves)
-
-
-def _pool_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -148,10 +139,7 @@ def cmd_ehrhart(args) -> dict:
                 "polynomial": poly.as_strings(),
                 "normalized_volume": poly.normalized_volume,
                 "h_star": list(poly.h_star_vector()),
-                "counts": [
-                    {"m": m, "count": eh.count_lattice_points(P, m)}
-                    for m in range(P.dim + 2)
-                ],
+                "counts": [{"m": m, "count": c} for m, c in enumerate(poly.counts)],
             }
         )
     return {"trees": out}
@@ -221,6 +209,8 @@ def cmd_markov_check(args) -> dict:
 
 
 def cmd_model_check(args) -> dict:
+    if args.samples < 1:
+        raise TreeError("--samples must be >= 1")
     out = []
     for tree in _trees_for(args):
         gens, _ = id_.construct_generators(tree)
@@ -236,7 +226,10 @@ def cmd_model_check(args) -> dict:
 
 
 def cmd_nni_check(args) -> dict:
+    if args.dilate < 1:
+        raise TreeError("--dilate must be >= 1")
     out = []
+    memo = {}
     for tree in _trees_for(args):
         for triple in nni_triples(tree):
             other = apply_nni(tree, triple)
@@ -259,7 +252,7 @@ def cmd_nni_check(args) -> dict:
             if set(fmap.values()) != set(enumerate_topsets(other)):
                 raise CheckFailure({**entry, "vertex_bijection": False})
             for m in range(1, args.dilate + 1):
-                res = eh.nni_count_check(tree, triple, m)
+                res = eh.nni_count_check(tree, triple, m, memo)
                 if not res["equal"]:
                     raise CheckFailure({**entry, "m": m, **res})
             entry["counts_equal_up_to"] = args.dilate
@@ -288,7 +281,7 @@ def cmd_survey(args) -> dict:
             "hull_agrees": pt.h_reps_match(P),
         }
 
-    rows = _pool_map(one, trees, args.threads)
+    rows = [one(tree) for tree in trees]
     polys = {tuple(r["ehrhart"]) for r in rows}
     for r in rows:
         if r["vertices"] != want_f:
@@ -318,12 +311,6 @@ def _add_common(sub, tree_input=True):
         group.add_argument("--tree", help="Newick string, e.g. '(((1,2),(3,4)),5);'")
         group.add_argument("--leaves", type=int, help="run over all shapes on n leaves")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("CFNMC_THREADS", "1")),
-        help="worker threads where sharding applies (default $CFNMC_THREADS or 1)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ideal", required=True, help="comma-separated interior indices")
     s.add_argument("--verify-hull", action="store_true")
     s.add_argument("--json", action="store_true")
-    s.add_argument("--threads", type=int, default=int(os.environ.get("CFNMC_THREADS", "1")))
     s.set_defaults(fn=cmd_rti_facets, leaves=None)
 
     s = sub.add_parser("ehrhart", help="dilate counts and the Ehrhart polynomial")
@@ -386,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("survey", help="all shapes on n leaves: counts, volume, Ehrhart, hulls")
     s.add_argument("--leaves", type=int, required=True)
     s.add_argument("--json", action="store_true")
-    s.add_argument("--threads", type=int, default=int(os.environ.get("CFNMC_THREADS", "1")))
     s.set_defaults(fn=cmd_survey, tree=None)
 
     return p

@@ -1,10 +1,9 @@
 """Lattice-point counting, Ehrhart interpolation, volume, and NNI audits.
 
-Counts are exact: the box scan uses int64 vectorization whose intermediate
-magnitudes are provably far below overflow (coefficients at most 2, dilates
-at most ~10, dimensions at most ~10), and interpolation runs in Fractions.
-The vertex-sum counter is the independent second method, justified by
-normality of the polytope.
+Counts are exact Python integers: a transfer-matrix sweep over the
+coordinates counts the lattice points of every dilate, and interpolation
+runs in Fractions.  The vertex-sum counter is the independent second
+method, justified by normality of the polytope.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 
-import numpy as np
-
 from .paths import classify_maintaining, enumerate_topsets, is_blocked, topset_to_vector
 from .polytope import Polytope, build_RT
 from .tree import NniTriple, RootedBinaryTree, TreeError, apply_nni
@@ -23,9 +20,13 @@ from .tree import NniTriple, RootedBinaryTree, TreeError, apply_nni
 
 @dataclass(frozen=True)
 class EhrhartPolynomial:
-    """Exact coefficients, ascending degree; i(0) = 1 for a lattice polytope."""
+    """Exact coefficients, ascending degree; i(0) = 1 for a lattice polytope.
+
+    ``counts`` holds the lattice-point counts of the dilates m = 0..dim+1
+    that the polynomial was interpolated through and checked against."""
 
     coefficients: tuple
+    counts: tuple
 
     def __call__(self, m: int) -> int:
         val = sum(c * Fraction(m) ** k for k, c in enumerate(self.coefficients))
@@ -71,11 +72,19 @@ def _binom(n: int, k: int) -> int:
 
 
 def count_lattice_points(polytope: Polytope, m: int) -> int:
-    """#(Z^dim intersect m * P) by scanning the integer box [0, m]^dim.
+    """#(Z^dim intersect m * P), counted exactly over the box [0, m]^dim.
 
     Requires P to be a 0/1 polytope presented by its H-representation, which
-    holds for every R_T here.  Exact: all intermediate values fit easily in
-    int64 (|coeffs| <= 2, dim <= ~10, m <= ~10).
+    holds for every R_T and R_T(I) here.  This is the transfer-matrix method
+    (Stanley, EC1 4.7): coordinates are fixed one at a time in index order,
+    and the state is the vector of partial sums of the rows that have both
+    fixed and free coordinates, held with multiplicities.  A value of the
+    next coordinate survives only if every row can still end at most
+    rhs * m (exactly rhs * m for the root equality), given the least and
+    greatest contribution of its free coordinates over [0, m].  A row that
+    holds whatever the free coordinates are has its partial sum raised to
+    the least such value, so all of its satisfied states merge.  Facets of
+    R_T join nodes that are close in the tree, so few rows are open at once.
     """
     if m < 0:
         raise TreeError("dilate must be nonnegative")
@@ -83,23 +92,63 @@ def count_lattice_points(polytope: Polytope, m: int) -> int:
         raise TreeError("polytope has no H-representation")
     if m == 0:
         return 1
-    d = polytope.dim
-    ineqs = polytope.inequalities
-    A = np.array([f.coeffs for f in ineqs], dtype=np.int64)
-    b = np.array([f.rhs for f in ineqs], dtype=np.int64) * m
-    pows = (m + 1) ** np.arange(d, dtype=np.int64)
-    total = (m + 1) ** d
-    count = 0
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        X = (idx[:, None] // pows[None, :]) % (m + 1)
-        ok = (X @ A.T <= b[None, :]).all(axis=1)
-        for e in polytope.equalities:
-            c = np.array(e.coeffs, dtype=np.int64)
-            ok &= X @ c == e.rhs * m
-        count += int(ok.sum())
-    return count
+    rows = []  # (first and last coordinate in the support, coeffs, bound, exact)
+    for f in polytope.facets:
+        support = [j for j, c in enumerate(f.coeffs) if c]
+        bound = f.rhs * m
+        exact = f.kind == "root_equality"
+        if not support:
+            if (bound != 0) if exact else (bound < 0):
+                return 0
+            continue
+        rows.append((support[0], support[-1], f.coeffs, bound, exact))
+    states = {(): 1}
+    open_rows = []
+    for j in range(polytope.dim):
+        live = open_rows + [r for r in rows if r[0] == j]
+        pad = (0,) * (len(live) - len(open_rows))
+        checks = []  # rows on x_j: (position, coefficient, upper, lower or None)
+        moves = []  # rows on x_j that stay open: (slot, position, coefficient, floor)
+        kept = []
+        for pos, (_, last, coeffs, bound, exact) in enumerate(live):
+            c = coeffs[j]
+            if c:
+                low = m * sum(x for x in coeffs[j + 1 :] if x < 0)
+                high = m * sum(x for x in coeffs[j + 1 :] if x > 0)
+                checks.append((pos, c, bound - low, bound - high if exact else None))
+                if last > j:
+                    moves.append((len(kept), pos, c, None if exact else bound - high))
+            if last > j:
+                kept.append(pos)
+        nxt = {}
+        for state, mult in states.items():
+            p = state + pad
+            lo, hi = 0, m
+            for pos, c, upper, lower in checks:
+                # p + c*v <= upper, and p + c*v >= lower for the equality
+                t = upper - p[pos]
+                if c > 0:
+                    hi = min(hi, t // c)
+                else:
+                    lo = max(lo, -(t // -c))
+                if lower is not None:
+                    t = lower - p[pos]
+                    if c > 0:
+                        lo = max(lo, -(-t // c))
+                    else:
+                        hi = min(hi, -t // -c)
+            if lo > hi:
+                continue
+            out = [p[k] for k in kept]
+            for v in range(lo, hi + 1):
+                for slot, pos, c, floor in moves:
+                    x = p[pos] + c * v
+                    out[slot] = x if floor is None or x > floor else floor
+                key = tuple(out)
+                nxt[key] = nxt.get(key, 0) + mult
+        states = nxt
+        open_rows = [live[k] for k in kept]
+    return sum(states.values())
 
 
 def count_by_vertex_sums(polytope: Polytope, m: int) -> int:
@@ -118,7 +167,7 @@ def ehrhart_polynomial(polytope: Polytope) -> EhrhartPolynomial:
     d = polytope.dim
     counts = [count_lattice_points(polytope, m) for m in range(d + 2)]
     coeffs = _lagrange(list(range(d + 1)), counts[: d + 1])
-    poly = EhrhartPolynomial(tuple(coeffs))
+    poly = EhrhartPolynomial(tuple(coeffs), tuple(counts))
     if poly(d + 1) != counts[d + 1]:
         raise ValueError(
             "interpolation failed its out-of-sample check; counting bug"
@@ -175,14 +224,28 @@ def fibonacci(n: int) -> int:
 # -- NNI dilate checks ----------------------------------------------------------
 
 
-def nni_count_check(tree: RootedBinaryTree, triple: NniTriple, m: int) -> dict:
-    """Dilate counts of R_T and R_T' for an NNI-adjacent pair."""
+def nni_count_check(
+    tree: RootedBinaryTree, triple: NniTriple, m: int, memo: dict | None = None
+) -> dict:
+    """Dilate counts of R_T and R_T' for an NNI-adjacent pair.
+
+    ``memo`` maps (facets, m) to a count already made; a caller checking
+    many pairs passes one dict so that each polytope is counted once per
+    dilate."""
     if m < 1:
         raise TreeError("dilate must be >= 1")
+    memo = {} if memo is None else memo
     other = apply_nni(tree, triple)
-    c1 = count_lattice_points(build_RT(tree), m)
-    c2 = count_lattice_points(build_RT(other), m)
+    c1 = _memo_count(build_RT(tree), m, memo)
+    c2 = _memo_count(build_RT(other), m, memo)
     return {"countT": c1, "countT2": c2, "equal": c1 == c2}
+
+
+def _memo_count(polytope: Polytope, m: int, memo: dict) -> int:
+    key = (polytope.facets, m)
+    if key not in memo:
+        memo[key] = count_lattice_points(polytope, m)
+    return memo[key]
 
 
 def _is_df_compressed(tree, triple, topsets) -> bool:

@@ -174,6 +174,10 @@ class RootedBinaryTree:
         return self._interior_index[v]
 
     def node_at_index(self, i: int) -> int:
+        if not 0 <= i < len(self._interior):
+            raise TreeError(
+                f"interior index {i} out of range 0..{len(self._interior) - 1}"
+            )
         return self._interior[i]
 
     @property

@@ -1,6 +1,7 @@
 """Shared test fixtures: reference trees and small independent oracles."""
 
-from itertools import combinations
+from dataclasses import replace
+from itertools import combinations, product
 
 from cfnmc.tree import RootedBinaryTree, parse_newick
 
@@ -68,3 +69,14 @@ def fib(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+def count_by_box(polytope, m: int) -> int:
+    """Brute-force #(Z^dim intersect m*P): every point of the box [0, m]^dim
+    tested against the facets of m*P."""
+    dilate = replace(
+        polytope, facets=tuple(replace(f, rhs=f.rhs * m) for f in polytope.facets)
+    )
+    return sum(
+        dilate.contains(x) for x in product(range(m + 1), repeat=polytope.dim)
+    )

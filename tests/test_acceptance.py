@@ -9,6 +9,8 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from cfnmc.ehrhart import (
     count_lattice_points,
     df_compression_audit,
@@ -91,24 +93,29 @@ def test_criterion_2_facet_descriptions():
     )
 
 
-def test_criterion_3_normalized_volume():
-    expected = {n: euler_zigzag(n - 1) for n in range(2, 8)}
-    assert list(expected.values()) == [1, 1, 2, 5, 16, 61]
+@pytest.fixture(scope="module")
+def ehrhart_by_leaves():
+    """One Ehrhart polynomial per shape for n = 2..9, shared by criteria 3 and 4."""
+    return {
+        n: [(tree, ehrhart_polynomial(build_RT(tree))) for tree in enumerate_topologies(n)]
+        for n in range(2, 10)
+    }
+
+
+def test_criterion_3_normalized_volume(ehrhart_by_leaves):
+    expected = {n: euler_zigzag(n - 1) for n in ehrhart_by_leaves}
+    assert list(expected.values()) == [1, 1, 2, 5, 16, 61, 272, 1385]
     for n, want in expected.items():
-        for tree in enumerate_topologies(n):
-            poly = ehrhart_polynomial(build_RT(tree))
+        for tree, poly in ehrhart_by_leaves[n]:
             assert poly.normalized_volume == want, (n, tree.to_newick())
-    _report("criterion 3 (normalized volume = Euler zig-zag)", "n = 2..7")
+    _report("criterion 3 (normalized volume = Euler zig-zag)", "n = 2..9")
 
 
-def test_criterion_4_topology_independence():
-    for n in range(2, 8):
-        polys = {
-            ehrhart_polynomial(build_RT(tree)).coefficients
-            for tree in enumerate_topologies(n)
-        }
+def test_criterion_4_topology_independence(ehrhart_by_leaves):
+    for n, rows in ehrhart_by_leaves.items():
+        polys = {poly.coefficients for _, poly in rows}
         assert len(polys) == 1, n
-    _report("criterion 4 (Ehrhart polynomial depends only on n)", "n <= 7")
+    _report("criterion 4 (Ehrhart polynomial depends only on n)", "n <= 9")
 
 
 def test_criterion_5_golden_example():

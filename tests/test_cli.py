@@ -28,6 +28,29 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_ideal_index_out_of_range(self, capsys):
+        # FIG_TREE has interior indices 0..3; -1 must not wrap to the last one
+        for spec in ("4", "-1", "0,1,7"):
+            code, out, err = run(
+                capsys, "rti-facets", "--tree", FIG_TREE, "--ideal", spec
+            )
+            assert code == 2, spec
+            assert out == "" and err.startswith("error:"), spec
+
+    def test_samples_below_one(self, capsys):
+        for samples in ("0", "-3"):
+            code, out, err = run(
+                capsys, "model-check", "--tree", "((1,2),3);", "--samples", samples
+            )
+            assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_dilate_below_one(self, capsys):
+        for dilate in ("0", "-1"):
+            code, out, err = run(
+                capsys, "nni-check", "--tree", "((1,2),(3,4));", "--dilate", dilate
+            )
+            assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestDeterminism:
     def test_json_byte_identical(self, capsys):
@@ -35,11 +58,11 @@ class TestDeterminism:
         b = run(capsys, "gens", "--tree", FIG_TREE, "--json")
         assert a == b
 
-    def test_threads_do_not_change_output(self, capsys):
-        a = run(capsys, "survey", "--leaves", "5", "--json", "--threads", "1")
-        b = run(capsys, "survey", "--leaves", "5", "--json", "--threads", "4")
+    def test_survey_repeat_runs_identical(self, capsys):
+        a = run(capsys, "survey", "--leaves", "5", "--json")
+        b = run(capsys, "survey", "--leaves", "5", "--json")
         assert a[0] == b[0] == 0
-        assert a[1] == b[1]
+        assert a == b
 
 
 class TestSurvey:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfnmc.ehrhart import (
     EhrhartPolynomial,
@@ -13,7 +15,7 @@ from cfnmc.ehrhart import (
     nni_count_check,
     normalized_volume,
 )
-from cfnmc.polytope import build_RT, count_monotone_zigzag_maps
+from cfnmc.polytope import build_RT, build_RTI, count_monotone_zigzag_maps
 from cfnmc.tree import (
     NniTriple,
     TreeError,
@@ -23,7 +25,22 @@ from cfnmc.tree import (
     parse_newick,
 )
 
-from helpers import FIG_TREE
+from helpers import FIG_TREE, count_by_box, order_ideals
+
+
+@st.composite
+def random_trees(draw):
+    """A random shape on 2..7 leaves with a random labeling."""
+    n = draw(st.integers(2, 7))
+    labels = draw(st.permutations(range(1, n + 1)))
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return str(labels[lo])
+        cut = draw(st.integers(lo + 1, hi - 1))
+        return f"({build(lo, cut)},{build(cut, hi)})"
+
+    return parse_newick(build(0, n) + ";")
 
 
 class TestSequences:
@@ -54,6 +71,23 @@ class TestCounting:
                 P = build_RT(t)
                 for m in range(P.dim + 2):
                     assert count_lattice_points(P, m) == count_by_vertex_sums(P, m)
+
+    def test_rti_equals_box(self):
+        # mixed-sign local rows and the root equality of every R_T(I)
+        for n in range(2, 6):
+            for t in enumerate_topologies(n):
+                for ideal in order_ideals(t):
+                    P = build_RTI(t, ideal)
+                    for m in range(4):
+                        assert count_lattice_points(P, m) == count_by_box(P, m), (
+                            t.to_newick(), sorted(t.interior_index(v) for v in ideal), m,
+                        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_trees(), st.integers(0, 4))
+    def test_random_shapes_equal_vertex_sums(self, tree, m):
+        P = build_RT(tree)
+        assert count_lattice_points(P, m) == count_by_vertex_sums(P, m)
 
     def test_negative_dilate(self):
         with pytest.raises(TreeError):
