@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import ehrhart as eh
@@ -195,6 +196,8 @@ def cmd_groebner_check(args) -> dict:
 
 
 def cmd_markov_check(args) -> dict:
+    if args.degree < 1:
+        raise TreeError("--degree must be >= 1")
     out = []
     for tree in _trees_for(args):
         M = id_.build_matrix(tree)
@@ -211,6 +214,8 @@ def cmd_markov_check(args) -> dict:
 def cmd_model_check(args) -> dict:
     if args.samples < 1:
         raise TreeError("--samples must be >= 1")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise TreeError("--tol must be finite and >= 0")
     out = []
     for tree in _trees_for(args):
         gens, _ = id_.construct_generators(tree)

@@ -25,7 +25,12 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
-from .paths import enumerate_topsets, topset_to_vector, traversability
+from .paths import (
+    enumerate_top_vectors,
+    enumerate_topsets,
+    topset_to_vector,
+    traversability,
+)
 from .tree import RootedBinaryTree, TreeError, _split_at, _tfp_node, is_cluster_tree
 
 
@@ -103,18 +108,12 @@ class LiftableOrder:
 
 
 def build_matrix(tree: RootedBinaryTree) -> ToricMatrix:
-    keys = [tv.bitstring for tv in _top_vectors(tree)]
+    keys = [tv.bitstring for tv in enumerate_top_vectors(tree)]
     d = tree.n_leaves - 1
     rows = [tuple(1 for _ in keys)]
     for i in range(d):
         rows.append(tuple(int(k[i]) for k in keys))
     return ToricMatrix(tuple(keys), tuple(rows))
-
-
-def _top_vectors(tree):
-    from .paths import enumerate_top_vectors
-
-    return enumerate_top_vectors(tree)
 
 
 def kernel_member(matrix: ToricMatrix, binomial: MarkedBinomial) -> bool:
@@ -160,7 +159,18 @@ def _interior_set(tree) -> frozenset:
     return frozenset(tree.interior_nodes)
 
 
-def _generators_raw(tree: RootedBinaryTree) -> list:
+def _topsets(tree: RootedBinaryTree, memo: dict) -> list:
+    """enumerate_topsets(tree), enumerated once per tree within one
+    construction.  The key fixes the labeled shape and the node id at every
+    interior position, so split halves whose fresh ids coincide share an
+    entry only when their top-sets coincide."""
+    key = (tree.to_newick(), tree.interior_nodes)
+    if key not in memo:
+        memo[key] = enumerate_topsets(tree)
+    return memo[key]
+
+
+def _generators_raw(tree: RootedBinaryTree, memo: dict) -> list:
     """Generators as ((plus1, plus2), (minus1, minus2), provenance) with
     terms as frozenset top-sets over this tree's node ids."""
     n = tree.n_leaves
@@ -169,21 +179,20 @@ def _generators_raw(tree: RootedBinaryTree) -> list:
     v = _tfp_node(tree)
     if v is not None:
         t1, t2 = _split_at(tree, v)
-        return _tfp_generators(tree, v, t1, t2)
+        return _tfp_generators(v, t1, t2, memo)
     if not is_cluster_tree(tree):
         raise TreeError("tree without split node must be a cluster tree")
-    return _cluster_generators(tree)
+    return _cluster_generators(tree, memo)
 
 
-def _tfp_generators(tree, v, t1, t2) -> list:
-    g1 = _generators_raw(t1)
-    g2 = _generators_raw(t2)
-    c1 = enumerate_topsets(t1)
-    c2 = enumerate_topsets(t2)
-    int1, int2 = _interior_set(t1), _interior_set(t2)
+def _tfp_generators(v, t1, t2, memo) -> list:
+    g1 = _generators_raw(t1, memo)
+    g2 = _generators_raw(t2, memo)
+    c1 = _topsets(t1, memo)
+    c2 = _topsets(t2, memo)
     out = []
 
-    def lift(gens, own_classes, other_classes):
+    def lift(gens, other_classes):
         lifted = []
         for (p1, p2), (q1, q2), _prov in gens:
             if (v in p1) != (v in q1):
@@ -199,8 +208,8 @@ def _tfp_generators(tree, v, t1, t2) -> list:
                     lifted.append((plus, minus, "Lift"))
         return lifted
 
-    out.extend(lift(g1, c1, c2))
-    out.extend(lift(g2, c2, c1))
+    out.extend(lift(g1, c2))
+    out.extend(lift(g2, c1))
     for k in (False, True):
         rows = [c for c in c1 if (v in c) == k]
         cols = [c for c in c2 if (v in c) == k]
@@ -213,11 +222,11 @@ def _tfp_generators(tree, v, t1, t2) -> list:
     return _dedupe(out)
 
 
-def _cluster_generators(tree) -> list:
+def _cluster_generators(tree, memo) -> list:
     rho = tree.root
     inner = _delete_root(tree)
-    gens = _generators_raw(inner)
-    classes = enumerate_topsets(inner)
+    gens = _generators_raw(inner, memo)
+    classes = _topsets(inner, memo)
     trav = {
         c: traversability(inner, c)["root_leaf_traversable"] for c in classes
     }
@@ -270,8 +279,8 @@ def _collapse(rows, classes):
     return w
 
 
-def _weights(tree: RootedBinaryTree, liftable: bool) -> dict:
-    classes = enumerate_topsets(tree)
+def _weights(tree: RootedBinaryTree, liftable: bool, memo: dict) -> dict:
+    classes = _topsets(tree, memo)
     n = tree.n_leaves
     if n <= 3:
         return {c: 0 for c in classes}
@@ -281,7 +290,7 @@ def _weights(tree: RootedBinaryTree, liftable: bool) -> dict:
         # image break on the root-marked factors, again in the inner order.
         rho = tree.root
         inner = _delete_root(tree)
-        w_inner = _weights(inner, True)
+        w_inner = _weights(inner, True, memo)
         int_inner = _interior_set(inner)
         r1 = {c: w_inner[c & int_inner] for c in classes}
         r2 = {c: 1 if rho in c else 0 for c in classes}
@@ -289,11 +298,11 @@ def _weights(tree: RootedBinaryTree, liftable: bool) -> dict:
         return _collapse([r1, r2, r3], classes)
 
     t1, t2 = _split_at(tree, v)
-    w1 = _weights(t1, False)
-    w2 = _weights(t2, False)
+    w1 = _weights(t1, False, memo)
+    w2 = _weights(t2, False, memo)
     int1, int2 = _interior_set(t1), _interior_set(t2)
     base = {c: w1[c & int1] + w2[c & int2] for c in classes}
-    quad = _quad_row(tree, v, t1, t2, classes, liftable)
+    quad = _quad_row(v, t1, t2, classes, liftable, memo)
     rows = [base, quad]
     if liftable:
         # block order first: non-traversable columns beat traversable ones.
@@ -305,7 +314,7 @@ def _weights(tree: RootedBinaryTree, liftable: bool) -> dict:
     return _collapse(rows, classes)
 
 
-def _quad_row(tree, v, t1, t2, classes, liftable) -> dict:
+def _quad_row(v, t1, t2, classes, liftable, memo) -> dict:
     """Diagonal tie-break for the 2x2 minors: rank(row) * rank(col), ranks
     taken inside each shared-node block.  In the liftable (bicluster) case
     root-augmentable classes of either half rank first, realizing the 2^(i+j)
@@ -326,8 +335,8 @@ def _quad_row(tree, v, t1, t2, classes, liftable) -> dict:
                 table[c] = i
         return table
 
-    rank1 = ranks(t1, enumerate_topsets(t1))
-    rank2 = ranks(t2, enumerate_topsets(t2))
+    rank1 = ranks(t1, _topsets(t1, memo))
+    rank2 = ranks(t2, _topsets(t2, memo))
     int1, int2 = _interior_set(t1), _interior_set(t2)
     return {c: rank1[c & int1] * rank2[c & int2] for c in classes}
 
@@ -344,9 +353,10 @@ def construct_generators(tree: RootedBinaryTree):
     """
     if tree.n_leaves < 2:
         raise TreeError("need n >= 2")
-    classes = enumerate_topsets(tree)
+    memo = {}
+    classes = _topsets(tree, memo)
     key_of = {c: topset_to_vector(tree, c).bitstring for c in classes}
-    weights = _weights(tree, False)
+    weights = _weights(tree, False, memo)
     if is_cluster_tree(tree):
         kind = "augmentable"
         tag = {
@@ -370,7 +380,7 @@ def construct_generators(tree: RootedBinaryTree):
     order = LiftableOrder({key_of[c]: weights[c] for c in classes}, tag, kind)
 
     gens = []
-    for plus_pair, minus_pair, prov in _generators_raw(tree):
+    for plus_pair, minus_pair, prov in _generators_raw(tree, memo):
         plus = tuple(sorted(key_of[c] for c in plus_pair))
         minus = tuple(sorted(key_of[c] for c in minus_pair))
         if order.compare(plus, minus) < 0:
@@ -386,20 +396,71 @@ def construct_generators(tree: RootedBinaryTree):
 _REDUCTION_CAP = 10_000
 
 
-def _normal_form(mono: Counter, rules) -> tuple:
-    steps = 0
-    changed = True
-    while changed:
-        changed = False
-        for plus, minus in rules:
-            if all(mono[k] >= c for k, c in plus.items()):
-                mono = mono - plus + minus
-                steps += 1
-                if steps > _REDUCTION_CAP:
-                    raise _ReductionDiverged()
-                changed = True
+class _InitialIndex:
+    """Positions of marked binomials by initial monomial (a sorted key
+    tuple), ascending.  The initials dividing a monomial are found by looking
+    up its distinct sub-multisets of the degrees present, at most six for
+    the degree-4 S-pair terms of quadrics, instead of testing every rule."""
+
+    def __init__(self, initials):
+        self.positions = {}
+        for i, ini in enumerate(initials):
+            self.positions.setdefault(tuple(sorted(ini)), []).append(i)
+        self.degrees = sorted({len(k) for k in self.positions})
+
+    def dividing(self, mono: tuple):
+        """(initial, positions) for each distinct initial dividing the
+        sorted monomial mono."""
+        for d in self.degrees:
+            if d > len(mono):
                 break
-    return tuple(sorted(mono.elements()))
+            for sub in dict.fromkeys(combinations(mono, d)):
+                positions = self.positions.get(sub)
+                if positions is not None:
+                    yield sub, positions
+
+    def lowest(self, mono: tuple):
+        """The lowest position whose initial divides mono, or None."""
+        return min((pos[0] for _, pos in self.dividing(mono)), default=None)
+
+
+def _exchange(mono: tuple, out: tuple, into: tuple) -> tuple:
+    """mono / out * into as a sorted key tuple; out must divide mono."""
+    rest = list(mono)
+    for k in out:
+        rest.remove(k)
+    return tuple(sorted(rest + list(into)))
+
+
+def _cofactor(a: tuple, b: tuple) -> list:
+    """lcm(a, b) / a, that is b / gcd(a, b), as a list of keys."""
+    rest = list(b)
+    for k in a:
+        if k in rest:
+            rest.remove(k)
+    return rest
+
+
+def _marked_rules(gens) -> list:
+    """(initial, tail) of every generator as sorted key tuples."""
+    rules = []
+    for g in gens:
+        ini, tail = (g.plus, g.minus) if g.initial == "plus" else (g.minus, g.plus)
+        rules.append((tuple(sorted(ini)), tuple(sorted(tail))))
+    return rules
+
+
+def _normal_form(mono: tuple, rules, index: _InitialIndex) -> tuple:
+    """Marked rewriting of the sorted monomial mono, always by the lowest
+    rule whose initial divides it, until no initial divides it."""
+    steps = 0
+    while (i := index.lowest(mono)) is not None:
+        steps += 1
+        if steps > _REDUCTION_CAP:
+            raise _ReductionDiverged()
+        ini, tail = rules[i]
+        mono = _exchange(mono, ini, tail)
+    return mono
 
 
 class _ReductionDiverged(Exception):
@@ -420,16 +481,13 @@ def groebner_verify(matrix: ToricMatrix, gens) -> bool:
             return False
         if not g.initial_squarefree():
             return False
-    rules = []
-    for g in gens:
-        ini, tail = (g.plus, g.minus) if g.initial == "plus" else (g.minus, g.plus)
-        rules.append((Counter(ini), Counter(tail)))
+    rules = _marked_rules(gens)
+    index = _InitialIndex(ini for ini, _ in rules)
     try:
         for (p1, m1), (p2, m2) in combinations_with_replacement(rules, 2):
-            lcm = p1 | p2
-            u = lcm - p1 + m1
-            w = lcm - p2 + m2
-            if _normal_form(u, rules) != _normal_form(w, rules):
+            u = tuple(sorted([*m1, *_cofactor(p1, p2)]))
+            w = tuple(sorted([*m2, *_cofactor(p2, p1)]))
+            if _normal_form(u, rules, index) != _normal_form(w, rules, index):
                 return False
     except _ReductionDiverged:
         return False
@@ -439,21 +497,15 @@ def groebner_verify(matrix: ToricMatrix, gens) -> bool:
 def reducedness_report(gens) -> dict:
     """Whether the marked basis is reduced: no term of any generator may be
     divisible by another generator's initial term.  Reported, not asserted;
-    the construction makes no reducedness claim."""
-    initials = []
-    for g in gens:
-        ini = g.plus if g.initial == "plus" else g.minus
-        initials.append((g, Counter(ini)))
-    offenders = []
+    the construction makes no reducedness claim.  ``violations`` counts the
+    (term, other generator) pairs at fault."""
+    index = _InitialIndex(ini for ini, _ in _marked_rules(gens))
+    violations = 0
     for g in gens:
         for term in (g.plus, g.minus):
-            cm = Counter(term)
-            for other, ini in initials:
-                if other is g:
-                    continue
-                if all(cm[k] >= c for k, c in ini.items()):
-                    offenders.append((g, other))
-    return {"reduced": not offenders, "violations": len(offenders)}
+            for _, positions in index.dividing(tuple(sorted(term))):
+                violations += sum(gens[j] is not g for j in positions)
+    return {"reduced": not violations, "violations": violations}
 
 
 def marking_consistent_with_weights(gens, order: LiftableOrder) -> bool:
@@ -472,13 +524,11 @@ def marking_consistent_with_weights(gens, order: LiftableOrder) -> bool:
 
 def reduces_to_zero(binomial: MarkedBinomial, gens) -> bool:
     """Whether plus - minus reduces to 0 against the marked basis."""
-    rules = []
-    for g in gens:
-        ini, tail = (g.plus, g.minus) if g.initial == "plus" else (g.minus, g.plus)
-        rules.append((Counter(ini), Counter(tail)))
+    rules = _marked_rules(gens)
+    index = _InitialIndex(ini for ini, _ in rules)
     try:
-        return _normal_form(Counter(binomial.plus), rules) == _normal_form(
-            Counter(binomial.minus), rules
+        return _normal_form(tuple(sorted(binomial.plus)), rules, index) == _normal_form(
+            tuple(sorted(binomial.minus)), rules, index
         )
     except _ReductionDiverged:
         return False
@@ -489,7 +539,11 @@ def fiber_connectivity(matrix: ToricMatrix, gens, degree_cap: int) -> bool:
     moves given by the generators connect all monomials."""
     if degree_cap > 4 and matrix.n_cols > 25:
         raise TreeError("degree cap too large for exhaustive fiber walks")
-    moves = [(Counter(g.plus), Counter(g.minus)) for g in gens]
+    moves = []
+    for g in gens:
+        plus, minus = tuple(sorted(g.plus)), tuple(sorted(g.minus))
+        moves += [(plus, minus), (minus, plus)]
+    index = _InitialIndex(src for src, _ in moves)
     for degree in range(1, degree_cap + 1):
         fibers = {}
         for mono in combinations_with_replacement(matrix.keys, degree):
@@ -497,7 +551,7 @@ def fiber_connectivity(matrix: ToricMatrix, gens, degree_cap: int) -> bool:
         for monos in fibers.values():
             if len(monos) == 1:
                 continue
-            index = {m: i for i, m in enumerate(monos)}
+            position = {m: i for i, m in enumerate(monos)}
             parent = list(range(len(monos)))
 
             def find(i):
@@ -507,14 +561,13 @@ def fiber_connectivity(matrix: ToricMatrix, gens, degree_cap: int) -> bool:
                 return i
 
             for mono in monos:
-                cm = Counter(mono)
-                for a, b in moves:
-                    for src, dst in ((a, b), (b, a)):
-                        if all(cm[k] >= c for k, c in src.items()):
-                            target = tuple(sorted((cm - src + dst).elements()))
-                            ri, rj = find(index[mono]), find(index[target])
-                            if ri != rj:
-                                parent[ri] = rj
+                sorted_mono = tuple(sorted(mono))
+                for src, positions in index.dividing(sorted_mono):
+                    for j in positions:
+                        target = _exchange(sorted_mono, src, moves[j][1])
+                        ri, rj = find(position[mono]), find(position[target])
+                        if ri != rj:
+                            parent[ri] = rj
             roots = {find(i) for i in range(len(monos))}
             if len(roots) > 1:
                 return False

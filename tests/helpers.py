@@ -1,9 +1,11 @@
 """Shared test fixtures: reference trees and small independent oracles."""
 
+from collections import Counter
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
-from cfnmc.tree import RootedBinaryTree, parse_newick
+from cfnmc.ideal import _REDUCTION_CAP, kernel_member
+from cfnmc.tree import RootedBinaryTree, TreeError, parse_newick
 
 # The 5-leaf tree from the running example: root over ((cherry, cherry), leaf).
 FIG_TREE = "(((1,2),(3,4)),5);"
@@ -80,3 +82,116 @@ def count_by_box(polytope, m: int) -> int:
     return sum(
         dilate.contains(x) for x in product(range(m + 1), repeat=polytope.dim)
     )
+
+
+# -- linear-scan oracles for the indexed Gröbner, reducedness and fiber code --
+
+
+def _divides(small: Counter, big: Counter) -> bool:
+    return all(big[k] >= c for k, c in small.items())
+
+
+class ScanDiverged(Exception):
+    pass
+
+
+def normal_form_by_scan(mono: Counter, rules) -> tuple:
+    """Marked rewriting that tests every rule in turn and restarts from the
+    first after each rewrite."""
+    steps = 0
+    changed = True
+    while changed:
+        changed = False
+        for plus, minus in rules:
+            if _divides(plus, mono):
+                mono = mono - plus + minus
+                steps += 1
+                if steps > _REDUCTION_CAP:
+                    raise ScanDiverged()
+                changed = True
+                break
+    return tuple(sorted(mono.elements()))
+
+
+def _rules(gens) -> list:
+    out = []
+    for g in gens:
+        ini, tail = (g.plus, g.minus) if g.initial == "plus" else (g.minus, g.plus)
+        out.append((Counter(ini), Counter(tail)))
+    return out
+
+
+def reduces_to_zero_by_scan(binomial, gens) -> bool:
+    """reduces_to_zero with every divisor found by scanning all rules."""
+    rules = _rules(gens)
+    try:
+        return normal_form_by_scan(Counter(binomial.plus), rules) == normal_form_by_scan(
+            Counter(binomial.minus), rules
+        )
+    except ScanDiverged:
+        return False
+
+
+def groebner_verify_by_scan(matrix, gens) -> bool:
+    """groebner_verify with every divisor found by scanning all rules."""
+    for g in gens:
+        if g.initial not in ("plus", "minus"):
+            raise TreeError("generator without a marked initial term")
+        if not kernel_member(matrix, g):
+            return False
+        if len(g.plus) != len(g.minus) or len(set(g.plus)) != len(g.plus):
+            return False
+    rules = _rules(gens)
+    try:
+        for (p1, m1), (p2, m2) in combinations_with_replacement(rules, 2):
+            lcm = p1 | p2
+            if normal_form_by_scan(lcm - p1 + m1, rules) != normal_form_by_scan(
+                lcm - p2 + m2, rules
+            ):
+                return False
+    except ScanDiverged:
+        return False
+    return True
+
+
+def reducedness_by_scan(gens) -> dict:
+    """reducedness_report by testing every term against every other
+    generator's initial, O(g^2)."""
+    initials = [(g, ini) for g, (ini, _) in zip(gens, _rules(gens))]
+    violations = 0
+    for g in gens:
+        for term in (g.plus, g.minus):
+            cm = Counter(term)
+            violations += sum(
+                other is not g and _divides(ini, cm) for other, ini in initials
+            )
+    return {"reduced": not violations, "violations": violations}
+
+
+def fiber_connectivity_by_scan(matrix, gens, degree_cap: int) -> bool:
+    """fiber_connectivity with every move tested, both ways, on every
+    monomial of every fiber."""
+    moves = [(Counter(g.plus), Counter(g.minus)) for g in gens]
+    for degree in range(1, degree_cap + 1):
+        fibers = {}
+        for mono in combinations_with_replacement(matrix.keys, degree):
+            fibers.setdefault(matrix.monomial_sum(mono), []).append(mono)
+        for monos in fibers.values():
+            index = {m: i for i, m in enumerate(monos)}
+            parent = list(range(len(monos)))
+
+            def find(i):
+                while parent[i] != i:
+                    i = parent[i]
+                return i
+
+            for mono in monos:
+                cm = Counter(mono)
+                for a, b in moves:
+                    for src, dst in ((a, b), (b, a)):
+                        if _divides(src, cm):
+                            target = tuple(sorted((cm - src + dst).elements()))
+                            parent[find(index[mono])] = find(index[target])
+            if len({find(i) for i in range(len(monos))}) > 1:
+                return False
+    return True

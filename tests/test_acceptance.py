@@ -156,14 +156,18 @@ def test_criterion_5_golden_example():
 
 
 def test_criterion_6_groebner_property():
-    for n in range(2, 7):
+    for n in range(2, 8):
         for tree in enumerate_topologies(n):
             M = build_matrix(tree)
             gens, _ = construct_generators(tree)
             assert all(g.initial_squarefree() for g in gens), (n, tree.to_newick())
             assert groebner_verify(M, gens), (n, tree.to_newick())
-            assert fiber_connectivity(M, gens, 4), (n, tree.to_newick())
-    _report("criterion 6 (quadratic Groebner basis)", "all shapes n <= 6, fiber cap 4")
+            if n <= 6:
+                assert fiber_connectivity(M, gens, 4), (n, tree.to_newick())
+    _report(
+        "criterion 6 (quadratic Groebner basis)",
+        "all shapes n <= 7, fiber cap 4 for n <= 6",
+    )
 
 
 def test_criterion_7_order_polytope():

@@ -44,6 +44,20 @@ class TestExitCodes:
             )
             assert code == 2 and out == "" and err.startswith("error:")
 
+    def test_degree_below_one(self, capsys):
+        for degree in ("0", "-1"):
+            code, out, err = run(
+                capsys, "markov-check", "--tree", FIG_TREE, "--degree", degree
+            )
+            assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_tol_not_finite_or_negative(self, capsys):
+        for tol in ("inf", "nan", "-1e-9"):
+            code, out, err = run(
+                capsys, "model-check", "--tree", FIG_TREE, "--samples", "1", f"--tol={tol}"
+            )
+            assert code == 2 and out == "" and err.startswith("error:"), tol
+
     def test_dilate_below_one(self, capsys):
         for dilate in ("0", "-1"):
             code, out, err = run(

@@ -1,9 +1,15 @@
+from collections import Counter
+from dataclasses import replace
+from itertools import combinations_with_replacement
+
 import pytest
 
+import cfnmc.ideal as ideal_mod
 from cfnmc.ideal import (
     LiftableOrder,
     MarkedBinomial,
     ToricMatrix,
+    _InitialIndex,
     build_matrix,
     construct_generators,
     fiber_connectivity,
@@ -11,10 +17,17 @@ from cfnmc.ideal import (
     kernel_member,
     quadratic_kernel_oracle,
     reduces_to_zero,
+    reducedness_report,
 )
 from cfnmc.tree import TreeError, enumerate_topologies, is_cluster_tree, parse_newick
 
-from helpers import FIG_TREE
+from helpers import (
+    FIG_TREE,
+    fiber_connectivity_by_scan,
+    groebner_verify_by_scan,
+    reducedness_by_scan,
+    reduces_to_zero_by_scan,
+)
 
 # Reference generator list for the running five-leaf example, marked sides
 # first.  The near-miss variant of the fifth binomial (second factor 1010
@@ -239,3 +252,111 @@ class TestOrder:
         _, order = construct_generators(t)
         assert set(order.weight) == set(order.block_tag)
         assert order.block_kind in ("augmentable", "traversable")
+
+
+class TestInitialIndex:
+    def test_dividing_matches_scan(self):
+        t = parse_newick(FIG_TREE)
+        keys = build_matrix(t).keys
+        gens, _ = construct_generators(t)
+        initials = [g.plus for g in gens] + [("0000",), ()]
+        index = _InitialIndex(initials)
+        for degree in range(4):
+            for mono in combinations_with_replacement(keys, degree):
+                cm = Counter(mono)
+                want = [
+                    i
+                    for i, ini in enumerate(initials)
+                    if all(cm[k] >= c for k, c in Counter(ini).items())
+                ]
+                got = sorted(j for _, pos in index.dividing(mono) for j in pos)
+                assert got == want, mono
+                assert index.lowest(mono) == (want[0] if want else None)
+
+    def test_repeated_initial_keeps_positions_ascending(self):
+        index = _InitialIndex([("b", "a"), ("c",), ("a", "b")])
+        assert index.positions == {("a", "b"): [0, 2], ("c",): [1]}
+        assert index.lowest(("a", "b", "c")) == 0
+
+
+class TestIndexedAgainstScan:
+    """The indexed S-pair reduction, reducedness count and fiber walk give
+    the verdicts of the linear scans they replace (tests/helpers.py)."""
+
+    def test_groebner_verdicts_all_shapes(self):
+        for n in range(2, 7):
+            for t in enumerate_topologies(n):
+                M = build_matrix(t)
+                gens, _ = construct_generators(t)
+                assert groebner_verify(M, gens) == groebner_verify_by_scan(M, gens)
+
+    def test_groebner_verdicts_single_flips(self):
+        rejected = 0
+        for n in range(2, 6):
+            for t in enumerate_topologies(n):
+                M = build_matrix(t)
+                gens, _ = construct_generators(t)
+                for i, g in enumerate(gens):
+                    flipped = list(gens)
+                    flipped[i] = replace(g, initial="minus")
+                    got = groebner_verify(M, flipped)
+                    assert got == groebner_verify_by_scan(M, flipped), (t.to_newick(), i)
+                    rejected += not got
+        assert rejected > 0
+
+    def test_reduces_to_zero_under_flips(self):
+        for t in enumerate_topologies(5):
+            gens, _ = construct_generators(t)
+            oracle = quadratic_kernel_oracle(build_matrix(t))
+            for i, g in enumerate(gens):
+                flipped = list(gens)
+                flipped[i] = replace(g, initial="minus")
+                for b in oracle:
+                    assert reduces_to_zero(b, flipped) == reduces_to_zero_by_scan(
+                        b, flipped
+                    ), (t.to_newick(), i, b)
+
+    def test_cyclic_marking_hits_the_cap(self):
+        # g and g with the other side marked rewrite into each other forever.
+        t = parse_newick(FIG_TREE)
+        M = build_matrix(t)
+        g = construct_generators(t)[0][0]
+        cyclic = [g, replace(g, initial="minus")]
+        assert not groebner_verify(M, cyclic)
+        assert not groebner_verify_by_scan(M, cyclic)
+        assert not reduces_to_zero(g, cyclic)
+        assert not reduces_to_zero_by_scan(g, cyclic)
+
+    def test_reducedness_counts(self):
+        for n in range(2, 8):
+            for t in enumerate_topologies(n):
+                gens, _ = construct_generators(t)
+                assert reducedness_report(gens) == reducedness_by_scan(gens), t.to_newick()
+
+    def test_fiber_verdicts_on_prefixes(self):
+        for n in range(2, 6):
+            for t in enumerate_topologies(n):
+                M = build_matrix(t)
+                gens, _ = construct_generators(t)
+                for k in sorted({0, 1, 2, len(gens) // 2, len(gens) - 1, len(gens)}):
+                    sub = gens[:k]
+                    assert fiber_connectivity(M, sub, 3) == fiber_connectivity_by_scan(
+                        M, sub, 3
+                    ), (t.to_newick(), k)
+
+
+class TestTopsetEnumeration:
+    def test_each_tree_enumerated_once_per_construction(self, monkeypatch):
+        calls = []
+        original = ideal_mod.enumerate_topsets
+
+        def counting(tree):
+            calls.append((tree.to_newick(), tree.interior_nodes))
+            return original(tree)
+
+        monkeypatch.setattr(ideal_mod, "enumerate_topsets", counting)
+        for n in range(4, 8):
+            for t in enumerate_topologies(n):
+                calls.clear()
+                construct_generators(t)
+                assert calls and len(calls) == len(set(calls)), t.to_newick()
