@@ -37,16 +37,13 @@ from .model import (
     sample_clock_params,
 )
 from .paths import (
-    EvenLabeling,
-    PathSystem,
-    TopVector,
     classify_maintaining,
-    enumerate_top_vectors,
+    enumerate_topsets,
     even_labelings,
     is_blocked,
     is_valid_top_vector,
-    path_system,
-    top_vector,
+    labeling_edges,
+    topset_of_edges,
     traversability,
 )
 from .polytope import (
@@ -56,7 +53,6 @@ from .polytope import (
     build_RTI,
     caterpillar_zigzag_map,
     facets_RTI,
-    facets_corollary,
     hull_facets,
 )
 from .tree import (

@@ -16,8 +16,9 @@ from . import ehrhart as eh
 from . import ideal as id_
 from . import model as md
 from . import polytope as pt
-from .paths import enumerate_top_vectors, enumerate_topsets
+from .paths import enumerate_topsets, topset_key, vertex_bijection
 from .tree import (
+    MAX_LEAVES,
     NewickError,
     TreeError,
     apply_nni,
@@ -63,7 +64,12 @@ def _human(payload: dict, indent: int = 0) -> None:
 
 def _trees_for(args) -> list:
     if args.tree is not None:
-        return [parse_newick(args.tree)]
+        tree = parse_newick(args.tree)
+        if tree.n_leaves > MAX_LEAVES:
+            raise TreeError(
+                f"--tree has {tree.n_leaves} leaves, at most {MAX_LEAVES} allowed"
+            )
+        return [tree]
     return enumerate_topologies(args.leaves)
 
 
@@ -73,18 +79,18 @@ def _trees_for(args) -> list:
 def cmd_vertices(args) -> dict:
     out = []
     for tree in _trees_for(args):
-        tvs = enumerate_top_vectors(tree)
+        keys = sorted(topset_key(tree, s) for s in enumerate_topsets(tree))
         want = eh.fibonacci(tree.n_leaves)
-        if len(tvs) != want:
+        if len(keys) != want:
             raise CheckFailure(
-                {"tree": tree.to_newick(), "count": len(tvs), "expected": want}
+                {"tree": tree.to_newick(), "count": len(keys), "expected": want}
             )
         out.append(
             {
                 "tree": tree.to_newick(),
-                "count": len(tvs),
+                "count": len(keys),
                 "fibonacci": want,
-                "vertices": [tv.bitstring for tv in tvs],
+                "vertices": keys,
             }
         )
     return {"trees": out}
@@ -251,9 +257,7 @@ def cmd_nni_check(args) -> dict:
                 ],
                 "other": other.to_newick(),
             }
-            from .paths import vertex_bijection
-
-            fmap = vertex_bijection(tree, other, triple)
+            fmap = vertex_bijection(tree, triple)
             if set(fmap.values()) != set(enumerate_topsets(other)):
                 raise CheckFailure({**entry, "vertex_bijection": False})
             for m in range(1, args.dilate + 1):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .paths import classify_maintaining, enumerate_topsets, is_blocked, topset_to_vector
+from .paths import classify_maintaining, enumerate_topsets, is_blocked, topset_bits
 from .polytope import Polytope, build_RT
 from .tree import NniTriple, RootedBinaryTree, TreeError, apply_nni
 
@@ -248,25 +248,21 @@ def _memo_count(polytope: Polytope, m: int, memo: dict) -> int:
     return memo[key]
 
 
-def _is_df_compressed(tree, triple, topsets) -> bool:
+def _is_df_compressed(tree, triple, topsets, maintaining) -> bool:
     """A representation is d-compressed when either every summand avoiding
     b and c has d blocked, or every summand marking b is maintaining;
     f-compressed is the mirror image with c and f.  Minimal representations
-    are always both."""
-    b, c, e = triple.b, triple.c, triple.e
-    d = tree.sibling(e)
-    f = tree.sibling(c)
-    other = apply_nni(tree, triple)
-
-    def maintaining(s):
-        return classify_maintaining(tree, other, triple, s)[0]
-
-    plain = [s for s in topsets if b not in s and c not in s]
+    are always both.  ``maintaining`` maps each top-set of the tree to its
+    classification under the move."""
+    b, c = 1 << triple.b, 1 << triple.c
+    d = tree.sibling(triple.e)
+    f = tree.sibling(triple.c)
+    plain = [s for s in topsets if not s & (b | c)]
     d_ok = all(is_blocked(tree, s, d) for s in plain) or all(
-        maintaining(s) for s in topsets if b in s
+        maintaining[s] for s in topsets if s & b
     )
     f_ok = all(is_blocked(tree, s, f) for s in plain) or all(
-        maintaining(s) for s in topsets if c in s
+        maintaining[s] for s in topsets if s & c
     )
     return d_ok and f_ok
 
@@ -278,14 +274,12 @@ def df_compression_audit(tree: RootedBinaryTree, triple: NniTriple, m: int) -> d
     """
     if m > 3:
         raise TreeError("audit is exhaustive; use m <= 3")
-    other = apply_nni(tree, triple)
     topsets = enumerate_topsets(tree)
-    vec = {s: topset_to_vector(tree, s).bits for s in topsets}
+    vec = {s: topset_bits(tree, s) for s in topsets}
+    maintaining = {s: classify_maintaining(tree, triple, s)[0] for s in topsets}
 
     def n_nonmaintaining(rep):
-        return sum(
-            0 if classify_maintaining(tree, other, triple, s)[0] else 1 for s in rep
-        )
+        return sum(not maintaining[s] for s in rep)
 
     reps_of = {}
     for rep in combinations_with_replacement(topsets, m):
@@ -296,7 +290,7 @@ def df_compression_audit(tree: RootedBinaryTree, triple: NniTriple, m: int) -> d
     for point, reps in reps_of.items():
         best = min(reps, key=n_nonmaintaining)
         max_nonmaintaining = max(max_nonmaintaining, n_nonmaintaining(best))
-        if not _is_df_compressed(tree, triple, best):
+        if not _is_df_compressed(tree, triple, best, maintaining):
             return {
                 "points": len(reps_of),
                 "all_compressed": False,

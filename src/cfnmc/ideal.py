@@ -23,14 +23,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
-from .paths import (
-    enumerate_top_vectors,
-    enumerate_topsets,
-    topset_to_vector,
-    traversability,
-)
+from .paths import enumerate_topsets, topset_key, traversability
 from .tree import RootedBinaryTree, TreeError, _split_at, _tfp_node, is_cluster_tree
 
 
@@ -46,18 +42,16 @@ class ToricMatrix:
     def n_cols(self) -> int:
         return len(self.keys)
 
+    @cached_property
+    def _columns(self) -> dict:
+        return dict(zip(self.keys, zip(*self.rows)))
+
     def column(self, key: str) -> tuple:
-        j = self.keys.index(key)
-        return tuple(r[j] for r in self.rows)
+        return self._columns[key]
 
     def monomial_sum(self, keys) -> tuple:
-        idx = {k: j for j, k in enumerate(self.keys)}
-        total = [0] * len(self.rows)
-        for k in keys:
-            j = idx[k]
-            for i, row in enumerate(self.rows):
-                total[i] += row[j]
-        return tuple(total)
+        cols = [self._columns[k] for k in keys]
+        return tuple(map(sum, zip(*cols))) if cols else (0,) * len(self.rows)
 
     def to_json_dict(self) -> dict:
         return {"columns": list(self.keys), "rows": [list(r) for r in self.rows]}
@@ -108,7 +102,7 @@ class LiftableOrder:
 
 
 def build_matrix(tree: RootedBinaryTree) -> ToricMatrix:
-    keys = [tv.bitstring for tv in enumerate_top_vectors(tree)]
+    keys = sorted(topset_key(tree, s) for s in enumerate_topsets(tree))
     d = tree.n_leaves - 1
     rows = [tuple(1 for _ in keys)]
     for i in range(d):
@@ -118,7 +112,7 @@ def build_matrix(tree: RootedBinaryTree) -> ToricMatrix:
 
 def kernel_member(matrix: ToricMatrix, binomial: MarkedBinomial) -> bool:
     for k in tuple(binomial.plus) + tuple(binomial.minus):
-        if k not in matrix.keys:
+        if k not in matrix._columns:
             raise TreeError(f"unknown column key {k!r}")
     return matrix.monomial_sum(binomial.plus) == matrix.monomial_sum(binomial.minus)
 
@@ -155,8 +149,8 @@ def _delete_root(tree: RootedBinaryTree) -> RootedBinaryTree:
     return RootedBinaryTree(new_root, children, labels)
 
 
-def _interior_set(tree) -> frozenset:
-    return frozenset(tree.interior_nodes)
+def _interior_mask(tree) -> int:
+    return sum(1 << v for v in tree.interior_nodes)
 
 
 def _topsets(tree: RootedBinaryTree, memo: dict) -> list:
@@ -172,7 +166,7 @@ def _topsets(tree: RootedBinaryTree, memo: dict) -> list:
 
 def _generators_raw(tree: RootedBinaryTree, memo: dict) -> list:
     """Generators as ((plus1, plus2), (minus1, minus2), provenance) with
-    terms as frozenset top-sets over this tree's node ids."""
+    terms as top-set masks over this tree's node ids."""
     n = tree.n_leaves
     if n <= 3:
         return []
@@ -190,18 +184,19 @@ def _tfp_generators(v, t1, t2, memo) -> list:
     g2 = _generators_raw(t2, memo)
     c1 = _topsets(t1, memo)
     c2 = _topsets(t2, memo)
+    bit = 1 << v
     out = []
 
     def lift(gens, other_classes):
         lifted = []
         for (p1, p2), (q1, q2), _prov in gens:
-            if (v in p1) != (v in q1):
+            if (p1 ^ q1) & bit:
                 q1, q2 = q2, q1
             for r1 in other_classes:
-                if (v in r1) != (v in p1):
+                if (r1 ^ p1) & bit:
                     continue
                 for r2 in other_classes:
-                    if (v in r2) != (v in p2):
+                    if (r2 ^ p2) & bit:
                         continue
                     plus = (p1 | r1, p2 | r2)
                     minus = (q1 | r1, q2 | r2)
@@ -210,9 +205,9 @@ def _tfp_generators(v, t1, t2, memo) -> list:
 
     out.extend(lift(g1, c2))
     out.extend(lift(g2, c1))
-    for k in (False, True):
-        rows = [c for c in c1 if (v in c) == k]
-        cols = [c for c in c2 if (v in c) == k]
+    for k in (0, bit):
+        rows = [c for c in c1 if c & bit == k]
+        cols = [c for c in c2 if c & bit == k]
         prov = "Quad1" if k else "Quad0"
         for r1, r2 in combinations(rows, 2):
             for s1, s2 in combinations(cols, 2):
@@ -223,7 +218,7 @@ def _tfp_generators(v, t1, t2, memo) -> list:
 
 
 def _cluster_generators(tree, memo) -> list:
-    rho = tree.root
+    rho = 1 << tree.root
     inner = _delete_root(tree)
     gens = _generators_raw(inner, memo)
     classes = _topsets(inner, memo)
@@ -238,12 +233,12 @@ def _cluster_generators(tree, memo) -> list:
                     j2 = i1 + i2 - j1
                     if j2 not in (0, 1) or (j2 == 1 and not trav[q2]):
                         continue
-                    plus = (p1 | {rho} if i1 else p1, p2 | {rho} if i2 else p2)
-                    minus = (q1 | {rho} if j1 else q1, q2 | {rho} if j2 else q2)
+                    plus = (p1 | rho if i1 else p1, p2 | rho if i2 else p2)
+                    minus = (q1 | rho if j1 else q1, q2 | rho if j2 else q2)
                     out.append((plus, minus, "Root"))
     travs = [c for c in classes if trav[c]]
     for a, b in combinations(travs, 2):
-        out.append(((a | {rho}, b), (a, b | {rho}), "Swap"))
+        out.append(((a | rho, b), (a, b | rho), "Swap"))
     return _dedupe(out)
 
 
@@ -288,19 +283,19 @@ def _weights(tree: RootedBinaryTree, liftable: bool, memo: dict) -> dict:
     if v is None:
         # cluster tree: order via deleting the root; ties on the stripped
         # image break on the root-marked factors, again in the inner order.
-        rho = tree.root
+        rho = 1 << tree.root
         inner = _delete_root(tree)
         w_inner = _weights(inner, True, memo)
-        int_inner = _interior_set(inner)
+        int_inner = _interior_mask(inner)
         r1 = {c: w_inner[c & int_inner] for c in classes}
-        r2 = {c: 1 if rho in c else 0 for c in classes}
-        r3 = {c: w_inner[c & int_inner] if rho in c else 0 for c in classes}
+        r2 = {c: 1 if c & rho else 0 for c in classes}
+        r3 = {c: w_inner[c & int_inner] if c & rho else 0 for c in classes}
         return _collapse([r1, r2, r3], classes)
 
     t1, t2 = _split_at(tree, v)
     w1 = _weights(t1, False, memo)
     w2 = _weights(t2, False, memo)
-    int1, int2 = _interior_set(t1), _interior_set(t2)
+    int1, int2 = _interior_mask(t1), _interior_mask(t2)
     base = {c: w1[c & int1] + w2[c & int2] for c in classes}
     quad = _quad_row(v, t1, t2, classes, liftable, memo)
     rows = [base, quad]
@@ -322,22 +317,22 @@ def _quad_row(v, t1, t2, classes, liftable, memo) -> dict:
 
     def ranks(half, half_classes):
         def key(c):
-            bits = topset_to_vector(half, c).bitstring
+            bits = topset_key(half, c)
             if liftable:
                 aug = traversability(half, c)["root_augmentable"]
                 return (0 if aug else 1, bits)
             return bits
 
         table = {}
-        for coord in (False, True):
-            block = sorted((c for c in half_classes if (v in c) == coord), key=key)
+        for coord in (0, 1):
+            block = sorted((c for c in half_classes if c >> v & 1 == coord), key=key)
             for i, c in enumerate(block, start=1):
                 table[c] = i
         return table
 
     rank1 = ranks(t1, _topsets(t1, memo))
     rank2 = ranks(t2, _topsets(t2, memo))
-    int1, int2 = _interior_set(t1), _interior_set(t2)
+    int1, int2 = _interior_mask(t1), _interior_mask(t2)
     return {c: rank1[c & int1] * rank2[c & int2] for c in classes}
 
 
@@ -355,7 +350,7 @@ def construct_generators(tree: RootedBinaryTree):
         raise TreeError("need n >= 2")
     memo = {}
     classes = _topsets(tree, memo)
-    key_of = {c: topset_to_vector(tree, c).bitstring for c in classes}
+    key_of = {c: topset_key(tree, c) for c in classes}
     weights = _weights(tree, False, memo)
     if is_cluster_tree(tree):
         kind = "augmentable"

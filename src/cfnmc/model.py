@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .paths import EvenLabeling, topset_of_labeling, topset_to_vector
+from .paths import labeling_edges, topset_key, topset_of_edges
 from .tree import RootedBinaryTree, TreeError
 
 
@@ -164,8 +164,7 @@ def fourier_transform(
     for lab, val in qhat.items():
         if sum(lab) % 2 == 1:
             continue
-        topset = topset_of_labeling(tree, EvenLabeling(lab))
-        key = topset_to_vector(tree, topset).bitstring
+        key = topset_key(tree, topset_of_edges(tree, labeling_edges(tree, lab)))
         if key in rcoords and abs(rcoords[key] - val) > tol:
             raise TreeError(
                 f"labelings with equal top-set disagree: {key}: "

@@ -1,187 +1,139 @@
-"""Even leaf labelings, disjoint path systems, top-vectors and NNI predicates.
+"""Even leaf labelings, top-sets and NNI predicates.
 
 A 0/1 labeling of the leaves with even sum determines a unique edge-disjoint
 system of leaf-to-leaf paths: an edge carries a path exactly when the number
 of 1-labeled leaves below it is odd.  The top-set of the system is the set of
 interior nodes whose two child edges both lie in a path; its indicator vector
 (in canonical interior order) is a vertex of the model polytope.
+
+A top-set, like an edge set, is an ``int`` bitmask keyed by node id: bit v
+is set iff node v is a top (for edges: iff the edge above v is used).  Split
+halves and NNI images keep node ids, so masks combine across related trees
+with ``|``, ``&`` and ``^``.  Canonical order enters only when a mask is
+rendered, by ``topset_bits`` and ``topset_key``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .tree import NniTriple, RootedBinaryTree, TreeError
 
 
-@dataclass(frozen=True)
-class EvenLabeling:
-    bits: tuple
-
-    def __post_init__(self):
-        if sum(self.bits) % 2 != 0:
-            raise TreeError(f"labeling {self.bits} has odd parity")
-
-
-@dataclass(frozen=True)
-class PathSystem:
-    """Edge-disjoint leaf-to-leaf paths; edges keyed by their child endpoint."""
-
-    edges: frozenset
-    paths: tuple  # each path is a tuple of node ids from leaf to leaf
-
-
-@dataclass(frozen=True)
-class TopVector:
-    bits: tuple
-
-    @property
-    def bitstring(self) -> str:
-        return "".join(map(str, self.bits))
-
-
 def even_labelings(n: int):
-    """All 2^(n-1) even-sum labelings of n leaves, lexicographic."""
+    """All 2^(n-1) even-sum labelings of n leaves as bit tuples, lexicographic."""
     if n < 2:
         raise TreeError("need n >= 2")
     for bits in product((0, 1), repeat=n):
         if sum(bits) % 2 == 0:
-            yield EvenLabeling(bits)
+            yield bits
 
 
-def path_system(tree: RootedBinaryTree, lab: EvenLabeling) -> PathSystem:
-    """The unique system of disjoint paths joining the 1-labeled leaves.
-
-    Edge e(v) is in the system iff the 1-labeled leaves below v have odd
-    count; at every internal vertex 0 or 2 incident edges are used, so the
-    used edges decompose uniquely into paths.
-    """
-    if len(lab.bits) != tree.n_leaves:
+def labeling_edges(tree: RootedBinaryTree, labeling) -> int:
+    """Mask of the edges used by the path system of an even labeling (bit i
+    is the leaf with the i-th smallest label): e(v) is used iff the
+    1-labeled leaves below v have odd count.  At every interior vertex 0 or
+    2 incident edges are used, so the used edges decompose uniquely into
+    paths."""
+    if len(labeling) != tree.n_leaves:
         raise TreeError(
-            f"labeling length {len(lab.bits)} != n_leaves {tree.n_leaves}"
+            f"labeling length {len(labeling)} != n_leaves {tree.n_leaves}"
         )
-    bit_of_leaf = {leaf: lab.bits[i] for i, leaf in enumerate(tree.leaves)}
-    parity = {}
-    for v in reversed(list(tree.interior_nodes)):
-        for k in tree.children(v):
-            if tree.is_leaf(k):
-                parity[k] = bit_of_leaf[k]
-        parity[v] = sum(parity[k] for k in tree.children(v)) % 2
-    edges = frozenset(v for v in parity if v != tree.root and parity[v] == 1)
-
-    # Walk each path once, starting from 1-labeled leaves.
-    incident = {}
-    for v in edges:
-        p = tree.parent(v)
-        incident.setdefault(v, []).append((p, v))
-        incident.setdefault(p, []).append((p, v))
-    used = set()
-    paths = []
-    for leaf in tree.leaves:
-        if bit_of_leaf[leaf] != 1:
-            continue
-        start_edge = incident[leaf][0]
-        if start_edge in used:
-            continue
-        node_path = [leaf]
-        current, edge = leaf, start_edge
-        while True:
-            used.add(edge)
-            current = edge[0] if edge[1] == current else edge[1]
-            node_path.append(current)
-            nxt = [e for e in incident.get(current, ()) if e not in used]
-            if not nxt:
-                break
-            edge = nxt[0]
-        paths.append(tuple(node_path))
-    return PathSystem(edges, tuple(paths))
+    if sum(labeling) % 2 != 0:
+        raise TreeError(f"labeling {tuple(labeling)} has odd parity")
+    parity = dict(zip(tree.leaves, labeling))
+    for v in reversed(tree.interior_nodes):  # children before parents
+        a, b = tree.children(v)
+        parity[v] = parity[a] ^ parity[b]
+    return sum(1 << v for v, bit in parity.items() if bit and v != tree.root)
 
 
-def top_vector(tree: RootedBinaryTree, ps: PathSystem) -> TopVector:
-    """Bit v = 1 iff both child edges of v lie in a path of the system."""
-    bits = []
+def topset_of_edges(tree: RootedBinaryTree, edges: int) -> int:
+    """The interior nodes whose two child edges both lie in ``edges``."""
+    out = 0
     for v in tree.interior_nodes:
         a, b = tree.children(v)
-        bits.append(1 if (a in ps.edges and b in ps.edges) else 0)
-    return TopVector(tuple(bits))
+        if edges >> a & edges >> b & 1:
+            out |= 1 << v
+    return out
 
 
-def topset_of_labeling(tree: RootedBinaryTree, lab: EvenLabeling) -> frozenset:
-    """Top-set as a set of node ids (convenient across related trees)."""
-    ps = path_system(tree, lab)
-    out = set()
-    for v in tree.interior_nodes:
-        a, b = tree.children(v)
-        if a in ps.edges and b in ps.edges:
-            out.add(v)
-    return frozenset(out)
+def topset_bits(tree: RootedBinaryTree, topset: int) -> tuple:
+    """The top-vector of a top-set: 0/1 per interior node, canonical order."""
+    return tuple(topset >> v & 1 for v in tree.interior_nodes)
 
 
-def enumerate_top_vectors(tree: RootedBinaryTree) -> list:
-    """All distinct top-vectors, sorted by bitstring.  Cardinality F_n with
-    F_0 = F_1 = 1."""
-    seen = {top_vector(tree, path_system(tree, lab)) for lab in even_labelings(tree.n_leaves)}
-    return sorted(seen, key=lambda tv: tv.bits)
+def topset_key(tree: RootedBinaryTree, topset: int) -> str:
+    """The top-vector as a bitstring, the column key of the toric matrix."""
+    return "".join(str(topset >> v & 1) for v in tree.interior_nodes)
 
 
 def enumerate_topsets(tree: RootedBinaryTree) -> list:
-    seen = {topset_of_labeling(tree, lab) for lab in even_labelings(tree.n_leaves)}
-    return sorted(seen, key=lambda s: tuple(sorted(tree.interior_index(v) for v in s)))
+    """All F_n top-sets (F_0 = F_1 = 1), sorted by their tuples of canonical
+    indices.
+
+    Generated bottom-up by the realizability rule of is_valid_top_vector:
+    each subtree yields (mask, free) pairs, free meaning that some descent
+    to a leaf avoids the mask, and a node may be marked only when both of
+    its children are free.
+    """
+
+    def grow(v):
+        if tree.is_leaf(v):
+            return [(0, True)]
+        a, b = tree.children(v)
+        right = grow(b)
+        out = []
+        for ma, fa in grow(a):
+            for mb, fb in right:
+                out.append((ma | mb, fa or fb))
+                if fa and fb:
+                    out.append((ma | mb | 1 << v, False))
+        return out
+
+    interior = tree.interior_nodes
+    return sorted(
+        (mask for mask, _ in grow(tree.root)),
+        key=lambda s: tuple(i for i, v in enumerate(interior) if s >> v & 1),
+    )
 
 
-def topset_to_vector(tree: RootedBinaryTree, topset: frozenset) -> TopVector:
-    return TopVector(tuple(1 if v in topset else 0 for v in tree.interior_nodes))
-
-
-def vector_to_topset(tree: RootedBinaryTree, tv: TopVector) -> frozenset:
-    return frozenset(v for v, bit in zip(tree.interior_nodes, tv.bits) if bit)
-
-
-def _as_topset(tree: RootedBinaryTree, topset) -> frozenset:
-    if isinstance(topset, TopVector):
-        return vector_to_topset(tree, topset)
-    return frozenset(topset)
-
-
-def _free_descent(tree: RootedBinaryTree, topset: frozenset, v: int) -> bool:
+def _free_descent(tree: RootedBinaryTree, topset: int, v: int) -> bool:
     """True if some downward path from v to a leaf avoids topset entirely."""
     if tree.is_leaf(v):
         return True
-    if v in topset:
+    if topset >> v & 1:
         return False
     return any(_free_descent(tree, topset, k) for k in tree.children(v))
 
 
-def is_valid_top_vector(tree: RootedBinaryTree, tv: TopVector) -> bool:
+def is_valid_top_vector(tree: RootedBinaryTree, topset: int) -> bool:
     """Greedy O(n) realizability test, cross-validated against enumeration.
 
-    A 0/1 vector is realizable iff below each marked node both child subtrees
+    A top-set is realizable iff below each marked node both child subtrees
     admit a descent to a leaf that avoids every marked node: the marked
     node's path descends there, and paths of distinct marked nodes can never
     collide because entering a marked node's territory means passing through
     it.
     """
-    if len(tv.bits) != tree.n_leaves - 1:
-        raise TreeError(
-            f"vector length {len(tv.bits)} != interior count {tree.n_leaves - 1}"
-        )
-    topset = vector_to_topset(tree, tv)
+    interior = sum(1 << v for v in tree.interior_nodes)
+    if topset & ~interior:
+        raise TreeError(f"top-set mask {topset:#x} marks a non-interior node")
     return all(
         _free_descent(tree, topset, k)
-        for v in topset
+        for v in tree.interior_nodes
+        if topset >> v & 1
         for k in tree.children(v)
     )
 
 
-def is_blocked(tree: RootedBinaryTree, topset, x: int) -> bool:
+def is_blocked(tree: RootedBinaryTree, topset: int, x: int) -> bool:
     """True iff every path from x down to a leaf meets a top-set node
-    (a marked x blocks itself via the length-0 descent).  Accepts the
-    top-set as node ids or as a TopVector."""
-    return not _free_descent(tree, _as_topset(tree, topset), x)
+    (a marked x blocks itself via the length-0 descent)."""
+    return not _free_descent(tree, topset, x)
 
 
-def traversability(tree: RootedBinaryTree, topset) -> dict:
+def traversability(tree: RootedBinaryTree, topset: int) -> dict:
     """Root-leaf traversability and root augmentability of a top-set.
 
     The first asks for a root-to-leaf path avoiding every top-most vertex;
@@ -189,20 +141,16 @@ def traversability(tree: RootedBinaryTree, topset) -> dict:
     realizable top-vector.  Both predicates matter chiefly for (bi)cluster
     trees but make sense, and are exposed, for any tree.
     """
-    topset = _as_topset(tree, topset)
     root = tree.root
     traversable = _free_descent(tree, topset, root)
-    augmentable = root not in topset and all(
+    augmentable = not topset >> root & 1 and all(
         _free_descent(tree, topset, k) for k in tree.children(root)
     )
     return {"root_leaf_traversable": traversable, "root_augmentable": augmentable}
 
 
 def classify_maintaining(
-    treeT: RootedBinaryTree,
-    treeT2: RootedBinaryTree,
-    triple: NniTriple,
-    topset,
+    treeT: RootedBinaryTree, triple: NniTriple, topset: int
 ) -> tuple:
     """Classify a vertex of R_T under the NNI move (b, c, e) and map it over.
 
@@ -212,40 +160,21 @@ def classify_maintaining(
     marked and d is not blocked, or c is marked and f is not blocked.
     Nonmaintaining vertices map by swapping the b and c bits.
     """
-    topset = _as_topset(treeT, topset)
-    if not is_valid_top_vector(treeT, topset_to_vector(treeT, topset)):
-        raise TreeError(f"top-set {sorted(topset)} is not realizable")
+    if not is_valid_top_vector(treeT, topset):
+        raise TreeError(f"top-set mask {topset:#x} is not realizable")
     b, c, e = triple.b, triple.c, triple.e
-    d = treeT.sibling(e)
-    f = treeT.sibling(c)
-    if b in topset:
-        maintaining = not is_blocked(treeT, topset, d)
-    elif c in topset:
-        maintaining = not is_blocked(treeT, topset, f)
+    if topset >> b & 1:
+        maintaining = not is_blocked(treeT, topset, treeT.sibling(e))
+    elif topset >> c & 1:
+        maintaining = not is_blocked(treeT, topset, treeT.sibling(c))
     else:
         maintaining = True
-    image = topset if maintaining else frozenset(topset ^ {b, c})
+    image = topset if maintaining else topset ^ (1 << b | 1 << c)
     return maintaining, image
 
 
-def vertex_bijection(
-    treeT: RootedBinaryTree, treeT2: RootedBinaryTree, triple: NniTriple
-) -> dict:
+def vertex_bijection(treeT: RootedBinaryTree, triple: NniTriple) -> dict:
     """The involution-pair map vert(R_T) -> vert(R_T') as topset -> topset."""
     return {
-        s: classify_maintaining(treeT, treeT2, triple, s)[1]
-        for s in enumerate_topsets(treeT)
+        s: classify_maintaining(treeT, triple, s)[1] for s in enumerate_topsets(treeT)
     }
-
-
-def path_system_json(tree: RootedBinaryTree, ps: PathSystem) -> dict:
-    """Edges as sorted "(parent,child)" strings over canonical indices, with
-    leaf endpoints rendered as L<label>."""
-
-    def name(v):
-        if tree.is_leaf(v):
-            return f"L{tree.leaf_label(v)}"
-        return str(tree.interior_index(v))
-
-    edges = sorted(f"({name(tree.parent(v))},{name(v)})" for v in ps.edges)
-    return {"edges": edges, "n_paths": len(ps.paths)}

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import hull as _hull
-from .paths import enumerate_top_vectors, even_labelings, path_system
+from .paths import even_labelings, labeling_edges, topset_of_edges
 from .tree import (
     RootedBinaryTree,
     TreeError,
@@ -93,61 +93,19 @@ class Polytope:
         }
 
 
-# -- R_T ----------------------------------------------------------------------
-
-
-def facets_corollary(tree: RootedBinaryTree) -> list:
-    """Closed-form facet list of R_T: x_i >= 0, x_i + x_j <= 1 on adjacent
-    interior pairs, and 2*sum_C x + sum_N(C) x <= |C|+1 per cluster C.
-
-    The 2-leaf tree is degenerate (a single interior node, no adjacent pair);
-    its segment needs the explicit upper bound x <= 1, emitted with the
-    adjacency tag.
-    """
-    n = tree.n_leaves
-    d = n - 1
-    out = []
-    for i in range(d):
-        coeffs = tuple(-1 if j == i else 0 for j in range(d))
-        out.append(Inequality(coeffs, 0, "nonneg"))
-    if n == 2:
-        out.append(Inequality((1,), 1, "adjacency"))
-        return out
-    for v in tree.interior_nodes:
-        for k in tree.children(v):
-            if tree.is_interior(k):
-                i, j = tree.interior_index(v), tree.interior_index(k)
-                coeffs = tuple(1 if t in (i, j) else 0 for t in range(d))
-                out.append(Inequality(coeffs, 1, "adjacency"))
-    for cl in enumerate_clusters(tree):
-        coeffs = [0] * d
-        for v in cl.members:
-            coeffs[tree.interior_index(v)] = 2
-        for v in cl.neighbor_set:
-            coeffs[tree.interior_index(v)] = 1
-        out.append(Inequality(tuple(coeffs), len(cl.members) + 1, "cluster"))
-    return out
-
-
-def build_RT(tree: RootedBinaryTree) -> Polytope:
-    """R_T: vertices are all top-vectors, facets from the closed form."""
-    verts = tuple(tv.bits for tv in enumerate_top_vectors(tree))
-    labels = tuple(f"x{i}" for i in range(tree.n_leaves - 1))
-    return Polytope(tree.n_leaves - 1, verts, tuple(facets_corollary(tree)), labels)
-
-
 # -- R_T(I) --------------------------------------------------------------------
 
 
-def _check_order_ideal(tree: RootedBinaryTree, ideal) -> frozenset:
-    return validate_order_ideal(tree, ideal)
+def build_RT(tree: RootedBinaryTree) -> Polytope:
+    """R_T in x-coordinates: R_T(I) with I = Int(T)."""
+    return build_RTI(tree, tree.interior_nodes)
 
 
 def rti_coordinates(tree: RootedBinaryTree, ideal) -> tuple:
     """Coordinate list of R_T(I): ("x", v) for v in I by canonical index,
     then ("y", v) for each non-root v whose parent is outside I (the edges of
     T - I), interior nodes first by index, then leaves by label."""
-    ideal = _check_order_ideal(tree, ideal)
+    ideal = validate_order_ideal(tree, ideal)
     xs = [("x", v) for v in tree.interior_nodes if v in ideal]
     ys = [
         ("y", v)
@@ -164,34 +122,22 @@ def _coord_label(tree: RootedBinaryTree, coord) -> str:
     return f"{kind}{tree.interior_index(v)}"
 
 
-def mixed_point(tree: RootedBinaryTree, ideal, coords, labeling) -> tuple:
-    """The vertex of R_T(I) realized by the path system of one labeling:
-    x_v = 1 iff v is a top, y_v = 1 iff the edge above v is used."""
-    ps = path_system(tree, labeling)
-    point = []
-    for kind, v in coords:
-        if kind == "x":
-            a, b = tree.children(v)
-            point.append(1 if (a in ps.edges and b in ps.edges) else 0)
-        else:
-            point.append(1 if v in ps.edges else 0)
-    return tuple(point)
-
-
 def build_RTI(tree: RootedBinaryTree, ideal) -> Polytope:
     """R_T(I). With I = Int(T) this is exactly R_T (in x-coordinates);
-    with I empty it is the plain two-state model polytope (y-coordinates)."""
-    ideal = _check_order_ideal(tree, ideal)
+    with I empty it is the plain two-state model polytope (y-coordinates).
+
+    The vertex of one even labeling has x_v = 1 iff v is a top of its path
+    system and y_v = 1 iff the edge above v is used."""
+    ideal = validate_order_ideal(tree, ideal)
     coords = rti_coordinates(tree, ideal)
-    verts = sorted(
-        {
-            mixed_point(tree, ideal, coords, lab)
-            for lab in even_labelings(tree.n_leaves)
-        }
-    )
+    verts = set()
+    for labeling in even_labelings(tree.n_leaves):
+        edges = labeling_edges(tree, labeling)
+        mask = {"x": topset_of_edges(tree, edges), "y": edges}
+        verts.add(tuple(mask[kind] >> v & 1 for kind, v in coords))
     facets = tuple(facets_RTI(tree, ideal))
     labels = tuple(_coord_label(tree, c) for c in coords)
-    return Polytope(len(coords), tuple(verts), facets, labels)
+    return Polytope(len(coords), tuple(sorted(verts)), facets, labels)
 
 
 def _unit(coords, index_of, key, value):
@@ -211,7 +157,7 @@ def facets_RTI(tree: RootedBinaryTree, ideal) -> list:
     inequalities, with the up-edge term y_m(C) present exactly when m(C) is
     maximal in I.
     """
-    ideal = _check_order_ideal(tree, ideal)
+    ideal = validate_order_ideal(tree, ideal)
     coords = rti_coordinates(tree, ideal)
     index_of = {c: i for i, c in enumerate(coords)}
     d = len(coords)
@@ -304,7 +250,7 @@ def facets_RTI(tree: RootedBinaryTree, ideal) -> list:
         out.append(Inequality(tuple(coeffs), len(cl.members) + 1, "cluster"))
 
     if full and tree.n_leaves == 2:
-        # R_T for the 2-leaf tree: handled by facets_corollary's special case.
+        # R_T for the 2-leaf tree: the segment needs its upper bound x <= 1.
         out.append(Inequality((1,), 1, "adjacency"))
     return [f.normalized() for f in out]
 
@@ -319,11 +265,11 @@ def contract_vertex_map(tree: RootedBinaryTree, ideal, r: int):
 
     Returns a function on source points; fractional results indicate a bug.
     """
-    ideal = _check_order_ideal(tree, ideal)
+    ideal = validate_order_ideal(tree, ideal)
     if r not in ideal:
         raise TreeError("r must lie in the ideal")
     smaller = ideal - {r}
-    _check_order_ideal(tree, smaller)
+    validate_order_ideal(tree, smaller)
     src_coords = rti_coordinates(tree, smaller)
     dst_coords = rti_coordinates(tree, ideal)
     src_index = {c: i for i, c in enumerate(src_coords)}

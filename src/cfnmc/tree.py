@@ -208,17 +208,6 @@ class RootedBinaryTree:
             stack.extend(self._children.get(u, ()))
         return out
 
-    def leaves_under(self, v: int) -> set:
-        return {u for u in self.subtree_nodes(v) if self.is_leaf(u)}
-
-    def is_ancestor(self, a: int, v: int) -> bool:
-        """True if a lies on the path from the root to v (inclusive)."""
-        while v is not None:
-            if v == a:
-                return True
-            v = self._parent.get(v)
-        return False
-
     # -- serialization ---------------------------------------------------
 
     def to_newick(self) -> str:
@@ -264,18 +253,21 @@ class RootedBinaryTree:
     def __repr__(self) -> str:
         return f"RootedBinaryTree({self.to_newick()!r})"
 
-    def same_tree(self, other: "RootedBinaryTree") -> bool:
-        return self.to_newick() == other.to_newick()
-
 
 # -- Newick ---------------------------------------------------------------
+
+
+# The parser recurses once per level of parentheses; deeper input is
+# rejected as malformed before it can exhaust Python's recursion limit.
+MAX_NESTING = 500
 
 
 def parse_newick(text: str) -> RootedBinaryTree:
     """Parse a rooted binary Newick string with positive-integer leaf labels.
 
     Internal labels are accepted and discarded.  Branch lengths are not part
-    of the dialect and raise.  The string must end with ';'.
+    of the dialect and raise, as does nesting deeper than MAX_NESTING.  The
+    string must end with ';'.
     """
     pos = 0
     n = len(text)
@@ -292,18 +284,20 @@ def parse_newick(text: str) -> RootedBinaryTree:
         next_id[0] += 1
         return next_id[0] - 1
 
-    def parse_node() -> int:
+    def parse_node(depth: int) -> int:
         nonlocal pos
         skip_ws()
         if pos >= n:
             raise NewickError("unexpected end of input", pos)
         if text[pos] == "(":
+            if depth == MAX_NESTING:
+                raise NewickError(f"nesting deeper than {MAX_NESTING}", pos)
             pos += 1
-            kids = [parse_node()]
+            kids = [parse_node(depth + 1)]
             skip_ws()
             while pos < n and text[pos] == ",":
                 pos += 1
-                kids.append(parse_node())
+                kids.append(parse_node(depth + 1))
                 skip_ws()
             if pos >= n or text[pos] != ")":
                 raise NewickError("expected ')' or ','", pos)
@@ -336,7 +330,7 @@ def parse_newick(text: str) -> RootedBinaryTree:
         leaf_labels[v] = label
         return v
 
-    root = parse_node()
+    root = parse_node(0)
     skip_ws()
     if pos >= n or text[pos] != ";":
         raise NewickError("expected terminating ';'", pos)
@@ -353,6 +347,10 @@ def parse_newick(text: str) -> RootedBinaryTree:
 
 
 # -- shape enumeration ------------------------------------------------------
+
+
+# Largest leaf count the enumerations and the CLI accept.
+MAX_LEAVES = 10
 
 
 @lru_cache(maxsize=None)
@@ -391,12 +389,13 @@ def tree_from_shape(shape) -> RootedBinaryTree:
 
 
 def enumerate_topologies(n: int) -> list:
-    """One representative per rooted binary shape on n leaves, 2 <= n <= 10.
+    """One representative per rooted binary shape on n leaves,
+    2 <= n <= MAX_LEAVES.
 
     Counts follow the Wedderburn-Etherington sequence 1, 1, 2, 3, 6, 11, 23...
     """
-    if not 2 <= n <= 10:
-        raise TreeError(f"n must be in 2..10, got {n}")
+    if not 2 <= n <= MAX_LEAVES:
+        raise TreeError(f"n must be in 2..{MAX_LEAVES}, got {n}")
     return [tree_from_shape(s) for s in _shapes(n)]
 
 

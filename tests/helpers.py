@@ -4,6 +4,8 @@ from collections import Counter
 from dataclasses import replace
 from itertools import combinations, combinations_with_replacement, product
 
+from hypothesis import strategies as st
+
 from cfnmc.ideal import _REDUCTION_CAP, kernel_member
 from cfnmc.tree import RootedBinaryTree, TreeError, parse_newick
 
@@ -63,6 +65,44 @@ def order_ideals(tree):
                 for k in tree.children(v)
             ):
                 out.append(s)
+    return out
+
+
+@st.composite
+def random_newick(draw, max_leaves=7):
+    """Newick text of a random shape on 2..max_leaves leaves with a random
+    labeling and child order."""
+    n = draw(st.integers(2, max_leaves))
+    labels = draw(st.permutations(range(1, n + 1)))
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return str(labels[lo])
+        cut = draw(st.integers(lo + 1, hi - 1))
+        return f"({build(lo, cut)},{build(cut, hi)})"
+
+    return build(0, n) + ";"
+
+
+def mask_of(tree, bits) -> int:
+    """The top-set mask of a 0/1 vector in canonical interior order."""
+    return sum(1 << v for v, bit in zip(tree.interior_nodes, bits) if bit)
+
+
+def topsets_by_labelings(tree) -> set:
+    """Every top-set realized by an even leaf labeling, by the parity rule:
+    the edge above v carries a path iff an odd number of 1-labeled leaves
+    lie below v, and v is a top iff both of its child edges carry one."""
+    below = {v: tree.subtree_nodes(v) for v in tree.nodes()}
+    out = set()
+    for labeling in product((0, 1), repeat=tree.n_leaves):
+        if sum(labeling) % 2:
+            continue
+        ones = {leaf for leaf, bit in zip(tree.leaves, labeling) if bit}
+        used = {v for v in tree.nodes() if len(below[v] & ones) % 2}
+        out.add(
+            sum(1 << v for v in tree.interior_nodes if set(tree.children(v)) <= used)
+        )
     return out
 
 

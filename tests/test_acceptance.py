@@ -34,7 +34,7 @@ from cfnmc.model import (
     leaf_distribution,
     sample_clock_params,
 )
-from cfnmc.paths import enumerate_top_vectors, enumerate_topsets, vertex_bijection
+from cfnmc.paths import enumerate_topsets, topset_bits, vertex_bijection
 from cfnmc.polytope import (
     build_RT,
     build_RTI,
@@ -66,7 +66,7 @@ def test_criterion_1_fibonacci_vertex_count():
     for n in range(2, 9):
         want = fibonacci(n)
         for tree in enumerate_topologies(n):
-            assert len(enumerate_top_vectors(tree)) == want, (n, tree.to_newick())
+            assert len(enumerate_topsets(tree)) == want, (n, tree.to_newick())
             shapes += 1
     assert shapes == 47
     assert fibonacci(8) == 34
@@ -174,7 +174,7 @@ def test_criterion_7_order_polytope():
     for n in range(1, 7):
         C = caterpillar(n + 1)
         _, _, phi = caterpillar_zigzag_map(n)
-        verts = [tv.bits for tv in enumerate_top_vectors(C)]
+        verts = [topset_bits(C, s) for s in enumerate_topsets(C)]
         image = {phi(v) for v in verts}
         assert len(image) == len(verts)
         assert image == set(zigzag_order_polytope_vertices(n))
@@ -190,9 +190,9 @@ def test_criterion_8_nni():
         for tree in enumerate_topologies(n):
             for triple in nni_triples(tree):
                 other = apply_nni(tree, triple)
-                fmap = vertex_bijection(tree, other, triple)
+                fmap = vertex_bijection(tree, triple)
                 assert set(fmap.values()) == set(enumerate_topsets(other))
-                back = vertex_bijection(other, tree, triple)
+                back = vertex_bijection(other, triple)
                 assert all(back[fmap[s]] == s for s in fmap)
                 for m in range(1, 5):
                     assert nni_count_check(tree, triple, m)["equal"], (n, triple, m)

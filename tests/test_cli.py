@@ -58,6 +58,20 @@ class TestExitCodes:
             )
             assert code == 2 and out == "" and err.startswith("error:"), tol
 
+    def test_tree_over_leaf_budget(self, capsys):
+        twelve = "(" * 11 + "1," + ",".join(f"{i})" for i in range(2, 13)) + ";"
+        for argv in (
+            ("vertices", "--tree", twelve),
+            ("rti-facets", "--tree", twelve, "--ideal", ""),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith("error:"), argv[0]
+
+    def test_deep_nesting(self, capsys):
+        deep = "(" * 1200 + "1," + ",".join(f"{i})" for i in range(2, 1202)) + ";"
+        code, out, err = run(capsys, "vertices", "--tree", deep)
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_dilate_below_one(self, capsys):
         for dilate in ("0", "-1"):
             code, out, err = run(

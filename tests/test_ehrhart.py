@@ -25,22 +25,7 @@ from cfnmc.tree import (
     parse_newick,
 )
 
-from helpers import FIG_TREE, count_by_box, order_ideals
-
-
-@st.composite
-def random_trees(draw):
-    """A random shape on 2..7 leaves with a random labeling."""
-    n = draw(st.integers(2, 7))
-    labels = draw(st.permutations(range(1, n + 1)))
-
-    def build(lo, hi):
-        if hi - lo == 1:
-            return str(labels[lo])
-        cut = draw(st.integers(lo + 1, hi - 1))
-        return f"({build(lo, cut)},{build(cut, hi)})"
-
-    return parse_newick(build(0, n) + ";")
+from helpers import FIG_TREE, count_by_box, order_ideals, random_newick
 
 
 class TestSequences:
@@ -84,7 +69,7 @@ class TestCounting:
                         )
 
     @settings(max_examples=60, deadline=None)
-    @given(random_trees(), st.integers(0, 4))
+    @given(random_newick().map(parse_newick), st.integers(0, 4))
     def test_random_shapes_equal_vertex_sums(self, tree, m):
         P = build_RT(tree)
         assert count_lattice_points(P, m) == count_by_vertex_sums(P, m)
@@ -178,19 +163,16 @@ class TestNniCounts:
         # compression conditions vacuously
         from cfnmc.ehrhart import _is_df_compressed
         from cfnmc.paths import classify_maintaining, enumerate_topsets
-        from cfnmc.tree import apply_nni
 
         t = caterpillar(5)
         for trip in nni_triples(t):
-            other = apply_nni(t, trip)
-            maintaining = [
-                s
-                for s in enumerate_topsets(t)
-                if classify_maintaining(t, other, trip, s)[0]
-            ]
+            classes = {
+                s: classify_maintaining(t, trip, s)[0] for s in enumerate_topsets(t)
+            }
+            maintaining = [s for s, keep in classes.items() if keep]
             for s1 in maintaining:
                 for s2 in maintaining:
-                    assert _is_df_compressed(t, trip, [s1, s2])
+                    assert _is_df_compressed(t, trip, [s1, s2], classes)
 
     def test_counts_magree_m_up_to_4(self):
         for n in (5, 6):

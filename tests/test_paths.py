@@ -1,19 +1,16 @@
-from itertools import product
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfnmc.paths import (
-    EvenLabeling,
-    TopVector,
     classify_maintaining,
-    enumerate_top_vectors,
     enumerate_topsets,
     even_labelings,
     is_blocked,
     is_valid_top_vector,
-    path_system,
-    top_vector,
-    topset_of_labeling,
+    labeling_edges,
+    topset_key,
+    topset_of_edges,
     traversability,
     vertex_bijection,
 )
@@ -25,46 +22,66 @@ from cfnmc.tree import (
     parse_newick,
 )
 
-from helpers import BLOCKED_TREE, FIG_TREE, fib, named_interior
+from helpers import (
+    BLOCKED_TREE,
+    FIG_TREE,
+    fib,
+    mask_of,
+    named_interior,
+    random_newick,
+    topsets_by_labelings,
+)
 
 PARAM_TREE = "(((1,2),(3,4)),(5,6));"  # six-leaf tree of the transform example
 
 
+def tops(tree, labeling) -> int:
+    return topset_of_edges(tree, labeling_edges(tree, labeling))
+
+
+def canonical_order(tree, topsets) -> list:
+    """Sorted by the tuple of canonical indices of the tops."""
+    return sorted(
+        topsets,
+        key=lambda s: tuple(
+            tree.interior_index(v) for v in tree.interior_nodes if s >> v & 1
+        ),
+    )
+
+
 class TestEvenLabelings:
     def test_small(self):
-        assert [l.bits for l in even_labelings(2)] == [(0, 0), (1, 1)]
-        assert [l.bits for l in even_labelings(3)] == [
+        assert list(even_labelings(2)) == [(0, 0), (1, 1)]
+        assert list(even_labelings(3)) == [
             (0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0),
         ]
 
     def test_count_and_membership(self):
         labs = list(even_labelings(6))
         assert len(labs) == 32
-        assert EvenLabeling((1, 1, 1, 0, 1, 0)) in labs
+        assert (1, 1, 1, 0, 1, 0) in labs
 
     def test_odd_rejected(self):
         with pytest.raises(TreeError):
-            EvenLabeling((1, 0, 0))
+            labeling_edges(parse_newick("((1,2),3);"), (1, 0, 0))
 
 
 class TestPathSystems:
     def test_empty(self):
         t = parse_newick(FIG_TREE)
-        ps = path_system(t, EvenLabeling((0,) * 5))
-        assert ps.edges == frozenset() and ps.paths == ()
+        assert labeling_edges(t, (0,) * 5) == 0
 
     def test_two_leaf(self):
+        # one path through the root: both leaf edges used
         t = parse_newick("(1,2);")
-        ps = path_system(t, EvenLabeling((1, 1)))
-        assert len(ps.paths) == 1
-        assert len(ps.edges) == 2
+        assert labeling_edges(t, (1, 1)) == sum(1 << v for v in t.leaves)
 
     def test_param_example_bold_edges(self):
         # the worked example: labeling (1,1,1,0,1,0) uses the edges above
         # leaves 1,2,3,5 and above v2 (not v1's other side) etc.
         t = parse_newick(PARAM_TREE)
         names = named_interior(t, "abcde")  # v1..v5 in canonical order
-        ps = path_system(t, EvenLabeling((1, 1, 1, 0, 1, 0)))
+        edges = labeling_edges(t, (1, 1, 1, 0, 1, 0))
         leaf = {t.leaf_label(v): v for v in t.leaves}
         want = {
             leaf[1], leaf[2],          # cherry path under v3
@@ -72,142 +89,158 @@ class TestPathSystems:
             names["b"],                # v2 up to v1
             names["e"], leaf[5],       # right: v5 down to leaf 5
         }
-        assert ps.edges == frozenset(want)
-        assert len(ps.paths) == 2
+        assert edges == sum(1 << v for v in want)
+        # two paths: four leaf endpoints
+        assert sum(edges >> v & 1 for v in t.leaves) == 4
 
     def test_endpoints_are_marked_leaves(self):
+        # degree property: a leaf's edge is used iff the leaf is labeled 1,
+        # and every interior node meets 0 or 2 used edges, so the used edges
+        # are disjoint paths ending exactly at the 1-labeled leaves
         for n in range(2, 7):
             for t in enumerate_topologies(n):
                 for lab in even_labelings(n):
-                    ps = path_system(t, lab)
-                    ends = sorted(
-                        t.leaf_label(p[i]) for p in ps.paths for i in (0, -1)
-                    )
-                    marked = sorted(
-                        i + 1 for i, b in enumerate(lab.bits) if b == 1
-                    )
-                    assert ends == marked
+                    edges = labeling_edges(t, lab)
+                    assert [edges >> v & 1 for v in t.leaves] == list(lab)
+                    for v in t.interior_nodes:
+                        incident = list(t.children(v))
+                        if v != t.root:
+                            incident.append(v)
+                        assert sum(edges >> k & 1 for k in incident) in (0, 2)
 
     def test_length_mismatch(self):
         t = parse_newick(FIG_TREE)
         with pytest.raises(TreeError):
-            path_system(t, EvenLabeling((1, 1)))
+            labeling_edges(t, (1, 1))
 
 
 class TestTopVectors:
     def test_empty_system(self):
         t = parse_newick(FIG_TREE)
-        assert top_vector(t, path_system(t, EvenLabeling((0,) * 5))).bits == (0,) * 4
+        assert tops(t, (0,) * 5) == 0
 
     def test_param_example(self):
         t = parse_newick(PARAM_TREE)
-        lab = EvenLabeling((1, 1, 1, 0, 1, 0))
-        assert top_vector(t, path_system(t, lab)).bitstring == "10100"
+        assert topset_key(t, tops(t, (1, 1, 1, 0, 1, 0))) == "10100"
 
     def test_cherry(self):
         t = parse_newick(FIG_TREE)
-        tv = top_vector(t, path_system(t, EvenLabeling((1, 1, 0, 0, 0))))
-        assert tv.bitstring == "0010"
+        assert topset_key(t, tops(t, (1, 1, 0, 0, 0))) == "0010"
 
     def test_enumerate_small(self):
         t2 = parse_newick("(1,2);")
-        assert {tv.bitstring for tv in enumerate_top_vectors(t2)} == {"0", "1"}
+        assert {topset_key(t2, s) for s in enumerate_topsets(t2)} == {"0", "1"}
         t3 = parse_newick("((1,2),3);")
-        assert {tv.bitstring for tv in enumerate_top_vectors(t3)} == {
+        assert {topset_key(t3, s) for s in enumerate_topsets(t3)} == {
             "00", "10", "01",
         }
 
     def test_fig_tree_eight(self):
         t = parse_newick(FIG_TREE)
-        assert {tv.bitstring for tv in enumerate_top_vectors(t)} == {
+        assert {topset_key(t, s) for s in enumerate_topsets(t)} == {
             "0000", "1000", "0100", "0010", "0001", "1010", "1001", "0011",
         }
 
     def test_fibonacci_counts(self):
         for n in range(2, 10):
             for t in enumerate_topologies(n):
-                assert len(enumerate_top_vectors(t)) == fib(n)
+                assert len(enumerate_topsets(t)) == fib(n)
+
+    def test_direct_generation_equals_labeling_oracle(self):
+        for n in range(2, 10):
+            for t in enumerate_topologies(n):
+                want = canonical_order(t, topsets_by_labelings(t))
+                assert enumerate_topsets(t) == want, t.to_newick()
 
     def test_fiber_sizes_sum(self):
         for n in range(2, 8):
             for t in enumerate_topologies(n):
                 sizes = {}
                 for lab in even_labelings(n):
-                    sizes[topset_of_labeling(t, lab)] = (
-                        sizes.get(topset_of_labeling(t, lab), 0) + 1
-                    )
+                    s = tops(t, lab)
+                    sizes[s] = sizes.get(s, 0) + 1
                 assert sum(sizes.values()) == 2 ** (n - 1)
+                assert sorted(sizes) == sorted(enumerate_topsets(t))
 
 
 class TestValidity:
     def test_zero_valid(self):
         t = parse_newick(FIG_TREE)
-        assert is_valid_top_vector(t, TopVector((0, 0, 0, 0)))
+        assert is_valid_top_vector(t, 0)
 
     def test_adjacent_invalid(self):
         for t in enumerate_topologies(4):
-            valid = {tv.bits for tv in enumerate_top_vectors(t)}
+            valid = set(enumerate_topsets(t))
             for v in t.interior_nodes:
                 for k in t.children(v):
                     if not t.is_interior(k):
                         continue
-                    bits = [0] * 3
-                    bits[t.interior_index(v)] = 1
-                    bits[t.interior_index(k)] = 1
-                    assert tuple(bits) not in valid
-                    assert not is_valid_top_vector(t, TopVector(tuple(bits)))
+                    mask = 1 << v | 1 << k
+                    assert mask not in valid
+                    assert not is_valid_top_vector(t, mask)
 
     def test_fig_vector_valid(self):
         t = parse_newick(FIG_TREE)
-        assert is_valid_top_vector(t, TopVector((1, 0, 1, 0)))
+        assert is_valid_top_vector(t, mask_of(t, (1, 0, 1, 0)))
 
     def test_param_tree_vector_valid(self):
         # the top-vector realized in the transform worked example
         t = parse_newick(PARAM_TREE)
-        assert is_valid_top_vector(t, TopVector((1, 0, 1, 0, 0)))
+        assert is_valid_top_vector(t, mask_of(t, (1, 0, 1, 0, 0)))
 
     def test_oracle_equivalence(self):
         for n in range(2, 9):
             for t in enumerate_topologies(n):
-                valid = {tv.bits for tv in enumerate_top_vectors(t)}
-                for bits in product((0, 1), repeat=n - 1):
-                    assert is_valid_top_vector(t, TopVector(bits)) == (
-                        bits in valid
-                    )
+                valid = topsets_by_labelings(t)
+                for sub in range(2 ** (n - 1)):
+                    bits = [sub >> i & 1 for i in range(n - 1)]
+                    mask = mask_of(t, bits)
+                    assert is_valid_top_vector(t, mask) == (mask in valid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_newick(9).map(parse_newick), st.data())
+    def test_random_masks_against_labelings(self, t, data):
+        d = t.n_leaves - 1
+        bits = data.draw(st.lists(st.booleans(), min_size=d, max_size=d))
+        mask = mask_of(t, bits)
+        assert is_valid_top_vector(t, mask) == (mask in topsets_by_labelings(t))
 
     def test_length_checked(self):
-        with pytest.raises(TreeError):
-            is_valid_top_vector(parse_newick(FIG_TREE), TopVector((0, 1)))
+        # bits outside the interior node ids are rejected
+        t = parse_newick(FIG_TREE)
+        for mask in (1 << t.leaves[0], 1 << max(t.nodes()) + 1, -1):
+            with pytest.raises(TreeError):
+                is_valid_top_vector(t, mask)
 
 
 class TestBlocked:
     def test_worked_example(self):
         t = parse_newick(BLOCKED_TREE)
         names = named_interior(t, "abcdefgh")
-        S = frozenset({names[x] for x in "adeg"})
+        S = sum(1 << names[x] for x in "adeg")
         blocked = {x for x in "abcdefgh" if is_blocked(t, S, names[x])}
         assert blocked == set("acdeg")
 
     def test_self_blocked(self):
         t = parse_newick(FIG_TREE)
         v = t.node_at_index(1)
-        assert is_blocked(t, frozenset({v}), v)
+        assert is_blocked(t, 1 << v, v)
 
     def test_empty_not_blocked(self):
         t = parse_newick(FIG_TREE)
         cherry = t.node_at_index(2)
-        assert not is_blocked(t, frozenset(), cherry)
+        assert not is_blocked(t, 0, cherry)
 
 
 class TestTraversability:
     def test_empty(self):
         t = parse_newick(FIG_TREE)
-        r = traversability(t, frozenset())
+        r = traversability(t, 0)
         assert r["root_leaf_traversable"] and r["root_augmentable"]
 
     def test_root_marked(self):
         t = parse_newick(FIG_TREE)
-        r = traversability(t, frozenset({t.root}))
+        r = traversability(t, 1 << t.root)
         assert not r["root_augmentable"]
         assert not r["root_leaf_traversable"]
 
@@ -216,33 +249,33 @@ class TestTraversability:
         # children leaves nothing to augment with
         t = parse_newick("((1,2),(3,4));")
         a, b = t.node_at_index(1), t.node_at_index(2)
-        r = traversability(t, frozenset({a, b}))
+        r = traversability(t, 1 << a | 1 << b)
         assert not r["root_augmentable"]
         # and augmentability must agree with the validity oracle
-        valid = {frozenset(s) for s in enumerate_topsets(t)}
+        valid = set(enumerate_topsets(t))
         for s in enumerate_topsets(t):
-            expect = t.root not in s and frozenset(s | {t.root}) in valid
+            expect = not s >> t.root & 1 and s | 1 << t.root in valid
             assert traversability(t, s)["root_augmentable"] == expect
 
     def test_cluster_tree_cherries_marked(self):
         # the 5-leaf cluster tree with both cherries marked: not augmentable
         t = parse_newick(FIG_TREE)
-        cherries = frozenset({t.node_at_index(2), t.node_at_index(3)})
+        cherries = 1 << t.node_at_index(2) | 1 << t.node_at_index(3)
         assert not traversability(t, cherries)["root_augmentable"]
 
     def test_agreement_with_oracle_all_trees(self):
         for n in range(2, 8):
             for t in enumerate_topologies(n):
-                valid = {frozenset(s) for s in enumerate_topsets(t)}
+                valid = set(enumerate_topsets(t))
                 for s in enumerate_topsets(t):
-                    expect = t.root not in s and frozenset(s | {t.root}) in valid
+                    expect = not s >> t.root & 1 and s | 1 << t.root in valid
                     assert traversability(t, s)["root_augmentable"] == expect
 
     def test_accepts_top_vector(self):
         # marking the joint node leaves the pendant-leaf descent free but
         # kills augmentability (the root needs both sides free)
         t = parse_newick(FIG_TREE)
-        r = traversability(t, TopVector((0, 1, 0, 0)))
+        r = traversability(t, mask_of(t, (0, 1, 0, 0)))
         assert r == {"root_leaf_traversable": True, "root_augmentable": False}
 
 
@@ -250,10 +283,10 @@ class TestMaintaining:
     def test_unmarked_bc_maintains(self):
         for t in enumerate_topologies(5):
             for trip in nni_triples(t):
-                other = apply_nni(t, trip)
+                bc = 1 << trip.b | 1 << trip.c
                 for s in enumerate_topsets(t):
-                    if trip.b not in s and trip.c not in s:
-                        keep, image = classify_maintaining(t, other, trip, s)
+                    if not s & bc:
+                        keep, image = classify_maintaining(t, trip, s)
                         assert keep and image == s
 
     def test_bijection_and_involution(self):
@@ -261,9 +294,9 @@ class TestMaintaining:
             for t in enumerate_topologies(n):
                 for trip in nni_triples(t):
                     other = apply_nni(t, trip)
-                    fwd = vertex_bijection(t, other, trip)
+                    fwd = vertex_bijection(t, trip)
                     assert set(fwd.values()) == set(enumerate_topsets(other))
-                    back = vertex_bijection(other, t, trip)
+                    back = vertex_bijection(other, trip)
                     assert all(back[fwd[s]] == s for s in fwd)
 
     def test_nonmaintaining_counts_match(self):
@@ -274,14 +307,13 @@ class TestMaintaining:
                     bn = sum(
                         1
                         for s in enumerate_topsets(t)
-                        if trip.b in s
-                        and not classify_maintaining(t, other, trip, s)[0]
+                        if s >> trip.b & 1 and not classify_maintaining(t, trip, s)[0]
                     )
                     cn = sum(
                         1
                         for s in enumerate_topsets(other)
-                        if trip.c in s
-                        and not classify_maintaining(other, t, trip, s)[0]
+                        if s >> trip.c & 1
+                        and not classify_maintaining(other, trip, s)[0]
                     )
                     assert bn == cn
 
@@ -291,5 +323,11 @@ class TestMaintaining:
                 other = apply_nni(t, trip)
                 targets = set(enumerate_topsets(other))
                 for s in enumerate_topsets(t):
-                    _, image = classify_maintaining(t, other, trip, s)
+                    _, image = classify_maintaining(t, trip, s)
                     assert image in targets
+
+    def test_unrealizable_rejected(self):
+        t = parse_newick(FIG_TREE)
+        trip = nni_triples(t)[0]
+        with pytest.raises(TreeError):
+            classify_maintaining(t, trip, 1 << trip.b | 1 << trip.c)

@@ -11,12 +11,12 @@ from cfnmc.polytope import (
     contract_vertex_map,
     count_monotone_zigzag_maps,
     facets_RTI,
-    facets_corollary,
     h_reps_match,
     hull_facets,
     rti_coordinates,
     zigzag_order_polytope_vertices,
 )
+from cfnmc.paths import enumerate_topsets, topset_bits
 from cfnmc.tree import TreeError, caterpillar, enumerate_topologies, parse_newick
 
 from helpers import FACET_TREE, FIG_TREE, named_interior, order_ideals, spine_tree
@@ -33,7 +33,7 @@ class TestCorollary:
     def test_facet_tree_list(self):
         t = parse_newick(FACET_TREE)
         names = named_interior(t, "abcdef")
-        facets = facets_corollary(t)
+        facets = build_RT(t).facets
         assert sum(1 for f in facets if f.kind == "nonneg") == 6
         adj = {
             tuple(i for i, c in enumerate(f.coeffs) if c)
@@ -59,11 +59,11 @@ class TestCorollary:
     def test_caterpillar_count(self):
         # no clusters: n-1 nonnegativity facets plus n-2 adjacency facets
         for n in range(3, 9):
-            assert len(facets_corollary(caterpillar(n))) == 2 * n - 3
+            assert len(build_RT(caterpillar(n)).facets) == 2 * n - 3
 
     def test_spine_tree_exponential(self):
         t = spine_tree(2)
-        clusters = [f for f in facets_corollary(t) if f.kind == "cluster"]
+        clusters = [f for f in build_RT(t).facets if f.kind == "cluster"]
         assert len(clusters) >= 2 ** 3
 
     def test_vertices_satisfy(self):
@@ -136,14 +136,16 @@ class TestRti:
         }
 
     def test_full_ideal_is_rt(self):
-        for text in ["((1,2),3);", FIG_TREE]:
+        # labeling-derived vertices are the enumerated top-vectors, in
+        # x-coordinates by canonical index, under the R_T facet families
+        for text in ["(1,2);", "((1,2),3);", FIG_TREE, FACET_TREE]:
             t = parse_newick(text)
-            P1 = build_RTI(t, frozenset(t.interior_nodes))
-            P2 = build_RT(t)
-            assert set(P1.vertices) == set(P2.vertices)
-            assert {(f.coeffs, f.rhs) for f in P1.facets} == {
-                (f.coeffs, f.rhs) for f in map(Inequality.normalized, P2.facets)
-            }
+            P = build_RTI(t, frozenset(t.interior_nodes))
+            want = sorted(topset_bits(t, s) for s in enumerate_topsets(t))
+            assert P.vertices == tuple(want)
+            assert P.coord_labels == tuple(f"x{i}" for i in range(t.n_leaves - 1))
+            assert {f.kind for f in P.facets} <= {"nonneg", "adjacency", "cluster"}
+            assert h_reps_match(P)
 
     def test_empty_ideal_families(self):
         t = parse_newick(FIG_TREE)
@@ -258,12 +260,10 @@ class TestZigzag:
         assert abs(prod) == 1
 
     def test_vertex_bijection(self):
-        from cfnmc.paths import enumerate_top_vectors
-
         for n in range(1, 7):
             C = caterpillar(n + 1)
             _, _, phi = caterpillar_zigzag_map(n)
-            image = {phi(tv.bits) for tv in enumerate_top_vectors(C)}
+            image = {phi(topset_bits(C, s)) for s in enumerate_topsets(C)}
             assert image == set(zigzag_order_polytope_vertices(n))
 
     def test_order_polytope_vertex_count(self):

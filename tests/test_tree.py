@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from cfnmc.tree import (
     NewickError,
@@ -15,7 +16,7 @@ from cfnmc.tree import (
     tree_from_shape,
 )
 
-from helpers import CLUSTER_FIG_TREE, FIG_TREE, named_interior, spine_tree
+from helpers import CLUSTER_FIG_TREE, FIG_TREE, named_interior, random_newick, spine_tree
 
 
 class TestParsing:
@@ -43,6 +44,23 @@ class TestParsing:
         for text in [FIG_TREE, "(1,2);", "((1,2),3);", "((3,4),(1,2));"]:
             t = parse_newick(text)
             assert parse_newick(t.to_newick()).to_newick() == t.to_newick()
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_newick(12))
+    def test_random_roundtrip(self, text):
+        # the canonical rendering parses back to the same clades and is a
+        # fixed point of parse-then-render
+        def clades(t):
+            return {
+                frozenset(t.leaf_label(u) for u in t.subtree_nodes(v) if t.is_leaf(u))
+                for v in t.nodes()
+            }
+
+        t = parse_newick(text)
+        back = parse_newick(t.to_newick())
+        assert back.to_newick() == t.to_newick()
+        assert clades(back) == clades(t)
+        assert t.n_leaves == text.count(",") + 1
 
     def test_internal_labels_ignored(self):
         t = parse_newick("((1,2)anc,3)root;")
