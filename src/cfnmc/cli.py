@@ -101,13 +101,18 @@ def cmd_facets(args) -> dict:
     for tree in _trees_for(args):
         P = pt.build_RT(tree)
         entry = {"tree": tree.to_newick(), "polytope": P.to_json_dict()}
-        if args.verify_hull:
-            ok = pt.h_reps_match(P)
-            entry["hull_agrees"] = ok
-            if not ok:
-                raise CheckFailure({"tree": tree.to_newick(), "hull_agrees": False})
-        out.append(entry)
+        out.append(_verify_hull(args, tree, P, entry))
     return {"trees": out}
+
+
+def _verify_hull(args, tree, P, entry: dict) -> dict:
+    """With --verify-hull, record whether the closed-form facets equal the
+    hull oracle's in entry, and fail the check when they do not."""
+    if args.verify_hull:
+        entry["hull_agrees"] = pt.h_reps_match(P)
+        if not entry["hull_agrees"]:
+            raise CheckFailure({"tree": tree.to_newick(), "hull_agrees": False})
+    return entry
 
 
 def _parse_ideal(tree, spec: str) -> frozenset:
@@ -127,12 +132,7 @@ def cmd_rti_facets(args) -> dict:
     entry = {"tree": tree.to_newick(), "ideal": sorted(
         tree.interior_index(v) for v in ideal
     ), "polytope": P.to_json_dict()}
-    if args.verify_hull:
-        ok = pt.h_reps_match(P)
-        entry["hull_agrees"] = ok
-        if not ok:
-            raise CheckFailure({"tree": tree.to_newick(), "hull_agrees": False})
-    return entry
+    return _verify_hull(args, tree, P, entry)
 
 
 def cmd_ehrhart(args) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import comb, factorial
 
 from .paths import classify_maintaining, enumerate_topsets, is_blocked, topset_bits
 from .polytope import Polytope, build_RT
@@ -52,7 +52,7 @@ class EhrhartPolynomial:
         out = []
         for j in range(d + 1):
             val = sum(
-                (-1) ** (j - i) * _binom(d + 1, j - i) * self(i)
+                (-1) ** (j - i) * comb(d + 1, j - i) * self(i)
                 for i in range(j + 1)
             )
             out.append(val)
@@ -60,15 +60,6 @@ class EhrhartPolynomial:
 
     def as_strings(self) -> list:
         return [str(c) for c in self.coefficients]
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def count_lattice_points(polytope: Polytope, m: int) -> int:

@@ -225,15 +225,13 @@ def hull_h_description(points):
     return equalities, sorted(facets), pivots, relations
 
 
-def hull_facets(points, allow_lower_dim: bool = False):
+def hull_facets(points):
     """Irredundant facet list of conv(points) as (coeffs, rhs) pairs.
 
-    Raises DegenerateInputError for lower-dimensional input unless
-    allow_lower_dim is set, in which case facets are reported in the pivot
-    chart of the affine hull.
+    Raises DegenerateInputError for lower-dimensional input.
     """
     equalities, facets, _, _ = hull_h_description(points)
-    if equalities and not allow_lower_dim:
+    if equalities:
         raise DegenerateInputError(equalities)
     return facets
 

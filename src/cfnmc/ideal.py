@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
 from .paths import enumerate_topsets, topset_key, traversability
-from .tree import RootedBinaryTree, TreeError, _split_at, _tfp_node, is_cluster_tree
+from .tree import RootedBinaryTree, TreeError, _split_at, _subtree, _tfp_node, is_cluster_tree
 
 
 @dataclass(frozen=True)
@@ -136,110 +136,124 @@ def quadratic_kernel_oracle(matrix: ToricMatrix) -> list:
 # -- recursive construction ------------------------------------------------------
 
 
-def _delete_root(tree: RootedBinaryTree) -> RootedBinaryTree:
-    """Remove the root and its pendant leaf (cluster trees only)."""
-    a, b = tree.children(tree.root)
-    leaf_child = a if tree.is_leaf(a) else b
-    new_root = b if leaf_child is a else a
-    if not tree.is_leaf(leaf_child) or not tree.is_interior(new_root):
-        raise TreeError("root must have one leaf child here")
-    keep = tree.subtree_nodes(new_root)
-    children = {u: tree.children(u) for u in keep if tree.is_interior(u)}
-    labels = {u: tree.leaf_label(u) for u in keep if tree.is_leaf(u)}
-    return RootedBinaryTree(new_root, children, labels)
+_DEGREE_CAP = 8  # monomial degree bound the stacked weights stay faithful for
+
+
+def _build(tree: RootedBinaryTree, liftable: bool):
+    """(top-sets, raw generators, weights) of tree in one walk of the
+    decomposition, so each subtree is built and enumerated once.
+
+    Raw generators are ((plus1, plus2), (minus1, minus2), provenance) with
+    terms as top-set masks over this tree's node ids.  The weights realize
+    the term order: weight rows stacked positionally by _collapse.  liftable
+    marks the inner tree of a cluster tree, whose order ranks the
+    traversability blocks first and root-augmentable minors first.
+    """
+    classes = enumerate_topsets(tree)
+    if tree.n_leaves <= 3:
+        return classes, [], {c: 0 for c in classes}
+    v = _tfp_node(tree)
+    out = []
+    if v is None:
+        # cluster tree: the root has one leaf child and one interior child
+        # (two interior children would make it a split node).  Delete the
+        # root and re-root the inner lifts; ties on the stripped image break
+        # on the root-marked factors, again in the inner order.
+        rho = 1 << tree.root
+        inner = _subtree(tree, max(tree.children(tree.root), key=tree.is_interior))
+        inner_classes, inner_gens, w_inner = _build(inner, True)
+        trav = {
+            c: traversability(inner, c)["root_leaf_traversable"] for c in inner_classes
+        }
+        for (p1, p2), (q1, q2), _prov in inner_gens:
+            for i1 in (0, 1) if trav[p1] else (0,):
+                for i2 in (0, 1) if trav[p2] else (0,):
+                    for j1 in (0, 1) if trav[q1] else (0,):
+                        j2 = i1 + i2 - j1
+                        if j2 not in (0, 1) or (j2 == 1 and not trav[q2]):
+                            continue
+                        plus = (p1 | rho if i1 else p1, p2 | rho if i2 else p2)
+                        minus = (q1 | rho if j1 else q1, q2 | rho if j2 else q2)
+                        out.append((plus, minus, "Root"))
+        travs = [c for c in inner_classes if trav[c]]
+        for a, b in combinations(travs, 2):
+            out.append(((a | rho, b), (a, b | rho), "Swap"))
+        inner_mask = _interior_mask(inner)
+        rows = [
+            {c: w_inner[c & inner_mask] for c in classes},
+            {c: 1 if c & rho else 0 for c in classes},
+            {c: w_inner[c & inner_mask] if c & rho else 0 for c in classes},
+        ]
+        return classes, _dedupe(out), _collapse(rows, classes)
+
+    # split node: the fiber product of the two halves sharing v.
+    t1, t2 = _split_at(tree, v)
+    c1, g1, w1 = _build(t1, False)
+    c2, g2, w2 = _build(t2, False)
+    bit = 1 << v
+    out += _lift(g1, c2, bit) + _lift(g2, c1, bit)
+    for k in (0, bit):
+        block1 = [c for c in c1 if c & bit == k]
+        block2 = [c for c in c2 if c & bit == k]
+        prov = "Quad1" if k else "Quad0"
+        for r1, r2 in combinations(block1, 2):
+            for s1, s2 in combinations(block2, 2):
+                out.append(((r1 | s1, r2 | s2), (r1 | s2, r2 | s1), prov))
+    int1, int2 = _interior_mask(t1), _interior_mask(t2)
+    rank1, rank2 = _ranks(t1, c1, v, liftable), _ranks(t2, c2, v, liftable)
+    rows = [
+        {c: w1[c & int1] + w2[c & int2] for c in classes},
+        # diagonal tie-break for the 2x2 minors: rank(row) * rank(col)
+        {c: rank1[c & int1] * rank2[c & int2] for c in classes},
+    ]
+    if liftable:
+        # block order first: non-traversable columns beat traversable ones.
+        tag = {
+            c: 0 if traversability(tree, c)["root_leaf_traversable"] else 1
+            for c in classes
+        }
+        rows.insert(0, tag)
+    return classes, _dedupe(out), _collapse(rows, classes)
+
+
+def _lift(gens, other_classes, bit) -> list:
+    """Lifts of one half's generators by pairs of the other half's top-sets
+    that agree with them on the shared node."""
+    lifted = []
+    for (p1, p2), (q1, q2), _prov in gens:
+        if (p1 ^ q1) & bit:
+            q1, q2 = q2, q1
+        for r1 in other_classes:
+            if (r1 ^ p1) & bit:
+                continue
+            for r2 in other_classes:
+                if (r2 ^ p2) & bit:
+                    continue
+                lifted.append(((p1 | r1, p2 | r2), (q1 | r1, q2 | r2), "Lift"))
+    return lifted
+
+
+def _ranks(half, half_classes, v, liftable) -> dict:
+    """Rank of each top-set of a half inside its block of the shared node v.
+    In the liftable (bicluster) case root-augmentable top-sets rank first,
+    realizing the 2^(i+j) style choice of leading minors."""
+
+    def key(c):
+        bits = topset_key(half, c)
+        if liftable:
+            return (0 if traversability(half, c)["root_augmentable"] else 1, bits)
+        return bits
+
+    table = {}
+    for coord in (0, 1):
+        block = sorted((c for c in half_classes if c >> v & 1 == coord), key=key)
+        for i, c in enumerate(block, start=1):
+            table[c] = i
+    return table
 
 
 def _interior_mask(tree) -> int:
     return sum(1 << v for v in tree.interior_nodes)
-
-
-def _topsets(tree: RootedBinaryTree, memo: dict) -> list:
-    """enumerate_topsets(tree), enumerated once per tree within one
-    construction.  The key fixes the labeled shape and the node id at every
-    interior position, so split halves whose fresh ids coincide share an
-    entry only when their top-sets coincide."""
-    key = (tree.to_newick(), tree.interior_nodes)
-    if key not in memo:
-        memo[key] = enumerate_topsets(tree)
-    return memo[key]
-
-
-def _generators_raw(tree: RootedBinaryTree, memo: dict) -> list:
-    """Generators as ((plus1, plus2), (minus1, minus2), provenance) with
-    terms as top-set masks over this tree's node ids."""
-    n = tree.n_leaves
-    if n <= 3:
-        return []
-    v = _tfp_node(tree)
-    if v is not None:
-        t1, t2 = _split_at(tree, v)
-        return _tfp_generators(v, t1, t2, memo)
-    if not is_cluster_tree(tree):
-        raise TreeError("tree without split node must be a cluster tree")
-    return _cluster_generators(tree, memo)
-
-
-def _tfp_generators(v, t1, t2, memo) -> list:
-    g1 = _generators_raw(t1, memo)
-    g2 = _generators_raw(t2, memo)
-    c1 = _topsets(t1, memo)
-    c2 = _topsets(t2, memo)
-    bit = 1 << v
-    out = []
-
-    def lift(gens, other_classes):
-        lifted = []
-        for (p1, p2), (q1, q2), _prov in gens:
-            if (p1 ^ q1) & bit:
-                q1, q2 = q2, q1
-            for r1 in other_classes:
-                if (r1 ^ p1) & bit:
-                    continue
-                for r2 in other_classes:
-                    if (r2 ^ p2) & bit:
-                        continue
-                    plus = (p1 | r1, p2 | r2)
-                    minus = (q1 | r1, q2 | r2)
-                    lifted.append((plus, minus, "Lift"))
-        return lifted
-
-    out.extend(lift(g1, c2))
-    out.extend(lift(g2, c1))
-    for k in (0, bit):
-        rows = [c for c in c1 if c & bit == k]
-        cols = [c for c in c2 if c & bit == k]
-        prov = "Quad1" if k else "Quad0"
-        for r1, r2 in combinations(rows, 2):
-            for s1, s2 in combinations(cols, 2):
-                plus = (r1 | s1, r2 | s2)
-                minus = (r1 | s2, r2 | s1)
-                out.append((plus, minus, prov))
-    return _dedupe(out)
-
-
-def _cluster_generators(tree, memo) -> list:
-    rho = 1 << tree.root
-    inner = _delete_root(tree)
-    gens = _generators_raw(inner, memo)
-    classes = _topsets(inner, memo)
-    trav = {
-        c: traversability(inner, c)["root_leaf_traversable"] for c in classes
-    }
-    out = []
-    for (p1, p2), (q1, q2), _prov in gens:
-        for i1 in (0, 1) if trav[p1] else (0,):
-            for i2 in (0, 1) if trav[p2] else (0,):
-                for j1 in (0, 1) if trav[q1] else (0,):
-                    j2 = i1 + i2 - j1
-                    if j2 not in (0, 1) or (j2 == 1 and not trav[q2]):
-                        continue
-                    plus = (p1 | rho if i1 else p1, p2 | rho if i2 else p2)
-                    minus = (q1 | rho if j1 else q1, q2 | rho if j2 else q2)
-                    out.append((plus, minus, "Root"))
-    travs = [c for c in classes if trav[c]]
-    for a, b in combinations(travs, 2):
-        out.append(((a | rho, b), (a, b | rho), "Swap"))
-    return _dedupe(out)
 
 
 def _dedupe(raw) -> list:
@@ -258,12 +272,6 @@ def _dedupe(raw) -> list:
     return out
 
 
-# -- term order weights -----------------------------------------------------------
-
-
-_DEGREE_CAP = 8  # monomial degree bound the stacked weights stay faithful for
-
-
 def _collapse(rows, classes):
     w = {c: 0 for c in classes}
     for row in rows:
@@ -272,68 +280,6 @@ def _collapse(rows, classes):
         for c in classes:
             w[c] = w[c] * base + row[c]
     return w
-
-
-def _weights(tree: RootedBinaryTree, liftable: bool, memo: dict) -> dict:
-    classes = _topsets(tree, memo)
-    n = tree.n_leaves
-    if n <= 3:
-        return {c: 0 for c in classes}
-    v = _tfp_node(tree)
-    if v is None:
-        # cluster tree: order via deleting the root; ties on the stripped
-        # image break on the root-marked factors, again in the inner order.
-        rho = 1 << tree.root
-        inner = _delete_root(tree)
-        w_inner = _weights(inner, True, memo)
-        int_inner = _interior_mask(inner)
-        r1 = {c: w_inner[c & int_inner] for c in classes}
-        r2 = {c: 1 if c & rho else 0 for c in classes}
-        r3 = {c: w_inner[c & int_inner] if c & rho else 0 for c in classes}
-        return _collapse([r1, r2, r3], classes)
-
-    t1, t2 = _split_at(tree, v)
-    w1 = _weights(t1, False, memo)
-    w2 = _weights(t2, False, memo)
-    int1, int2 = _interior_mask(t1), _interior_mask(t2)
-    base = {c: w1[c & int1] + w2[c & int2] for c in classes}
-    quad = _quad_row(v, t1, t2, classes, liftable, memo)
-    rows = [base, quad]
-    if liftable:
-        # block order first: non-traversable columns beat traversable ones.
-        tag = {
-            c: 0 if traversability(tree, c)["root_leaf_traversable"] else 1
-            for c in classes
-        }
-        rows.insert(0, tag)
-    return _collapse(rows, classes)
-
-
-def _quad_row(v, t1, t2, classes, liftable, memo) -> dict:
-    """Diagonal tie-break for the 2x2 minors: rank(row) * rank(col), ranks
-    taken inside each shared-node block.  In the liftable (bicluster) case
-    root-augmentable classes of either half rank first, realizing the 2^(i+j)
-    style choice of leading minors."""
-
-    def ranks(half, half_classes):
-        def key(c):
-            bits = topset_key(half, c)
-            if liftable:
-                aug = traversability(half, c)["root_augmentable"]
-                return (0 if aug else 1, bits)
-            return bits
-
-        table = {}
-        for coord in (0, 1):
-            block = sorted((c for c in half_classes if c >> v & 1 == coord), key=key)
-            for i, c in enumerate(block, start=1):
-                table[c] = i
-        return table
-
-    rank1 = ranks(t1, _topsets(t1, memo))
-    rank2 = ranks(t2, _topsets(t2, memo))
-    int1, int2 = _interior_mask(t1), _interior_mask(t2)
-    return {c: rank1[c & int1] * rank2[c & int2] for c in classes}
 
 
 # -- public construction -----------------------------------------------------------
@@ -348,34 +294,21 @@ def construct_generators(tree: RootedBinaryTree):
     """
     if tree.n_leaves < 2:
         raise TreeError("need n >= 2")
-    memo = {}
-    classes = _topsets(tree, memo)
+    classes, raw, weights = _build(tree, False)
     key_of = {c: topset_key(tree, c) for c in classes}
-    weights = _weights(tree, False, memo)
-    if is_cluster_tree(tree):
-        kind = "augmentable"
-        tag = {
-            key_of[c]: (
-                "augmentable"
-                if traversability(tree, c)["root_augmentable"]
-                else "non_augmentable"
-            )
-            for c in classes
-        }
-    else:
-        kind = "traversable"
-        tag = {
-            key_of[c]: (
-                "traversable"
-                if traversability(tree, c)["root_leaf_traversable"]
-                else "non_traversable"
-            )
-            for c in classes
-        }
+    kind, prop = (
+        ("augmentable", "root_augmentable")
+        if is_cluster_tree(tree)
+        else ("traversable", "root_leaf_traversable")
+    )
+    tag = {
+        key_of[c]: kind if traversability(tree, c)[prop] else "non_" + kind
+        for c in classes
+    }
     order = LiftableOrder({key_of[c]: weights[c] for c in classes}, tag, kind)
 
     gens = []
-    for plus_pair, minus_pair, prov in _generators_raw(tree, memo):
+    for plus_pair, minus_pair, prov in raw:
         plus = tuple(sorted(key_of[c] for c in plus_pair))
         minus = tuple(sorted(key_of[c] for c in minus_pair))
         if order.compare(plus, minus) < 0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .paths import labeling_edges, topset_key, topset_of_edges
 from .tree import RootedBinaryTree, TreeError
@@ -69,57 +70,52 @@ class FourierPoint:
     rcoords: dict  # top-vector bitstring -> value
 
 
+def _transitions(tree: RootedBinaryTree, params: ClockParams) -> dict:
+    """(P(same state), P(other state)) along the edge above each non-root
+    node."""
+    params.validate(tree)
+    trans = {}
+    for v in tree.nodes():
+        if v == tree.root:
+            continue
+        t = params.branch_length(tree, v)
+        same = (1.0 + math.exp(-2.0 * params.alpha * t)) / 2.0
+        trans[v] = (same, 1.0 - same)
+    return trans
+
+
 def leaf_distribution(tree: RootedBinaryTree, params: ClockParams) -> LeafDistribution:
     """Exact marginal over hidden interior states with a uniform root.
 
     Computed by the usual pruning factorization of the full sum over the
-    2^(n-1) interior labelings.
+    2^(n-1) interior labelings: one bottom-up pass per leaf assignment, each
+    node carrying (P(leaves below | 0), P(leaves below | 1)).
     """
-    params.validate(tree)
-    trans = {}
-    for v in tree.nodes():
-        if v == tree.root:
-            continue
-        t = params.branch_length(tree, v)
-        same = (1.0 + math.exp(-2.0 * params.alpha * t)) / 2.0
-        trans[v] = (same, 1.0 - same)
-
+    trans = _transitions(tree, params)
     leaves = tree.leaves
     probs = {}
     for assignment in _all_labelings(tree.n_leaves):
-        state = dict(zip(leaves, assignment))
-
-        def below(v, s):
-            # probability of the observed leaves under v given state s at v
-            total = 1.0
+        below = {leaf: (1.0 - s, float(s)) for leaf, s in zip(leaves, assignment)}
+        for v in reversed(tree.interior_nodes):  # children before parents
+            b0 = b1 = 1.0
             for k in tree.children(v):
                 same, diff = trans[k]
-                if tree.is_leaf(k):
-                    total *= same if state[k] == s else diff
-                else:
-                    p0 = below(k, 0)
-                    p1 = below(k, 1)
-                    total *= (same * p0 + diff * p1) if s == 0 else (diff * p0 + same * p1)
-            return total
-
-        probs[assignment] = 0.5 * (below(tree.root, 0) + below(tree.root, 1))
+                p0, p1 = below[k]
+                b0 *= same * p0 + diff * p1
+                b1 *= diff * p0 + same * p1
+            below[v] = (b0, b1)
+        b0, b1 = below[tree.root]
+        probs[assignment] = 0.5 * (b0 + b1)
     return LeafDistribution(probs)
 
 
-def _all_labelings(n: int):
-    return [tuple((mask >> i) & 1 for i in range(n - 1, -1, -1)) for mask in range(2 ** n)]
+def _all_labelings(n: int) -> list:
+    return list(product((0, 1), repeat=n))
 
 
 def leaf_distribution_bruteforce(tree: RootedBinaryTree, params: ClockParams) -> LeafDistribution:
     """Literal sum over all interior labelings; test oracle for the pruning."""
-    params.validate(tree)
-    trans = {}
-    for v in tree.nodes():
-        if v == tree.root:
-            continue
-        t = params.branch_length(tree, v)
-        same = (1.0 + math.exp(-2.0 * params.alpha * t)) / 2.0
-        trans[v] = (same, 1.0 - same)
+    trans = _transitions(tree, params)
     leaves = tree.leaves
     interior = tree.interior_nodes
     probs = {}
@@ -146,8 +142,8 @@ def fourier_transform(
     """Sign transform q(g) = sum_j (-1)^(g.j) p(j); odd-sum entries must
     vanish and labelings sharing a top-set must agree, within tol, before
     collapsing onto the class coordinates."""
-    n = tree.n_leaves
-    values = [dist.probs[lab] for lab in _all_labelings(n)]
+    labelings = _all_labelings(tree.n_leaves)
+    values = [dist.probs[lab] for lab in labelings]
     # fast in-place sign transform
     h = 1
     while h < len(values):
@@ -156,7 +152,7 @@ def fourier_transform(
                 a, b = values[j], values[j + h]
                 values[j], values[j + h] = a + b, a - b
         h *= 2
-    qhat = dict(zip(_all_labelings(n), values))
+    qhat = dict(zip(labelings, values))
     for lab, val in qhat.items():
         if sum(lab) % 2 == 1 and abs(val) > tol:
             raise TreeError(f"odd-parity transform entry {lab} = {val} exceeds tol")

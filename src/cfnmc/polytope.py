@@ -296,11 +296,10 @@ def contract_vertex_map(tree: RootedBinaryTree, ideal, r: int):
 # -- hull oracle plumbing -------------------------------------------------------
 
 
-def hull_facets(vertices, allow_lower_dim: bool = False):
+def hull_facets(vertices):
     """Exact irredundant H-representation of conv(vertices) as Inequality
-    records (kind "hull").  Degenerate input raises with the affine hull
-    unless allow_lower_dim, in which case facets live in the pivot chart."""
-    raw = _hull.hull_facets(vertices, allow_lower_dim=allow_lower_dim)
+    records (kind "hull").  Degenerate input raises with the affine hull."""
+    raw = _hull.hull_facets(vertices)
     return [Inequality(c, r, "hull") for c, r in raw]
 
 

@@ -451,12 +451,8 @@ def enumerate_clusters(tree: RootedBinaryTree) -> list:
 
     for v in cnodes:
         grow(frozenset([v]), set(adj[v]))
-    seen_members = set()
     result = []
     for members in clusters:
-        if members in seen_members:
-            continue
-        seen_members.add(members)
         neighbors = set()
         for v in members:
             p = tree.parent(v)

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from cfnmc.cli import main
 
@@ -91,6 +94,21 @@ class TestDeterminism:
         b = run(capsys, "survey", "--leaves", "5", "--json")
         assert a[0] == b[0] == 0
         assert a == b
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (6, "2c4a5bd179bc1ec7ab8f235d914e2cebc6cf0b459ccede5066b469d7b32e87ad"),
+            (7, "b53277d27fde41f367def6bc245bd2c513fa701da298a7f784197546200664f1"),
+            (8, "c91b4bb6bf81c7155309fda1fc5bbfa80594c1db3c4353fce22038a311c387c8"),
+        ],
+    )
+    def test_gens_output_pinned(self, capsys, n, digest):
+        # Pins generators, markings and provenance for every shape with
+        # n <= 8, beyond the 5-leaf golden file.
+        code, out, _ = run(capsys, "gens", "--leaves", str(n), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSurvey:

@@ -13,7 +13,7 @@ from cfnmc.model import (
     leaf_distribution_bruteforce,
     sample_clock_params,
 )
-from cfnmc.tree import TreeError, enumerate_topologies, parse_newick
+from cfnmc.tree import TreeError, caterpillar, enumerate_topologies, parse_newick
 
 from helpers import FIG_TREE
 
@@ -59,13 +59,14 @@ class TestLeafDistribution:
 
     def test_pruning_equals_bruteforce(self):
         rng = random.Random(3)
-        for n in range(2, 6):
-            for t in enumerate_topologies(n):
-                p = sample_clock_params(t, rng)
-                d1 = leaf_distribution(t, p)
-                d2 = leaf_distribution_bruteforce(t, p)
-                for k in d1.probs:
-                    assert abs(d1.probs[k] - d2.probs[k]) < 1e-12
+        shapes = [t for n in range(2, 7) for t in enumerate_topologies(n)]
+        for t in shapes + [caterpillar(7)]:  # the caterpillar is the deepest shape
+            p = sample_clock_params(t, rng)
+            d1 = leaf_distribution(t, p)
+            d2 = leaf_distribution_bruteforce(t, p)
+            assert d1.probs.keys() == d2.probs.keys()
+            for k in d1.probs:
+                assert abs(d1.probs[k] - d2.probs[k]) < 1e-12, t.to_newick()
 
 
 class TestFourier:
