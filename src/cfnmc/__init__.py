@@ -25,7 +25,6 @@ from .ideal import (
     fiber_connectivity,
     groebner_verify,
     kernel_member,
-    quadratic_kernel_oracle,
 )
 from .model import (
     ClockParams,
@@ -51,9 +50,7 @@ from .polytope import (
     Polytope,
     build_RT,
     build_RTI,
-    caterpillar_zigzag_map,
     facets_RTI,
-    hull_facets,
 )
 from .tree import (
     Cluster,
@@ -62,11 +59,9 @@ from .tree import (
     RootedBinaryTree,
     TreeError,
     apply_nni,
-    caterpillar,
     enumerate_clusters,
     enumerate_topologies,
     parse_newick,
-    tfp_split,
 )
 
 __version__ = "0.1.0"

@@ -2,8 +2,7 @@
 
 Counts are exact Python integers: a transfer-matrix sweep over the
 coordinates counts the lattice points of every dilate, and interpolation
-runs in Fractions.  The vertex-sum counter is the independent second
-method, justified by normality of the polytope.
+runs in Fractions.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from itertools import combinations_with_replacement
 from math import comb, factorial
 
 from .paths import classify_maintaining, enumerate_topsets, is_blocked, topset_bits
-from .polytope import Polytope, build_RT
+from .polytope import Polytope, build_RT, facets_RTI
 from .tree import NniTriple, RootedBinaryTree, TreeError, apply_nni
 
 
@@ -52,7 +51,7 @@ class EhrhartPolynomial:
         out = []
         for j in range(d + 1):
             val = sum(
-                (-1) ** (j - i) * comb(d + 1, j - i) * self(i)
+                (-1) ** (j - i) * comb(d + 1, j - i) * self.counts[i]
                 for i in range(j + 1)
             )
             out.append(val)
@@ -142,17 +141,6 @@ def count_lattice_points(polytope: Polytope, m: int) -> int:
     return sum(states.values())
 
 
-def count_by_vertex_sums(polytope: Polytope, m: int) -> int:
-    """Independent counter: by normality, the lattice points of m*P are
-    exactly the sums of m vertices (the zero vertex pads short sums)."""
-    if m == 0:
-        return 1
-    pts = set()
-    for combo in combinations_with_replacement(polytope.vertices, m):
-        pts.add(tuple(map(sum, zip(*combo))))
-    return len(pts)
-
-
 def ehrhart_polynomial(polytope: Polytope) -> EhrhartPolynomial:
     """Exact interpolation through m = 0..dim, verified at m = dim + 1."""
     d = polytope.dim
@@ -221,21 +209,22 @@ def nni_count_check(
     """Dilate counts of R_T and R_T' for an NNI-adjacent pair.
 
     ``memo`` maps (facets, m) to a count already made; a caller checking
-    many pairs passes one dict so that each polytope is counted once per
-    dilate."""
+    many pairs passes one dict so that each polytope is built and counted
+    once per dilate."""
     if m < 1:
         raise TreeError("dilate must be >= 1")
     memo = {} if memo is None else memo
-    other = apply_nni(tree, triple)
-    c1 = _memo_count(build_RT(tree), m, memo)
-    c2 = _memo_count(build_RT(other), m, memo)
+    c1 = _memo_count(tree, m, memo)
+    c2 = _memo_count(apply_nni(tree, triple), m, memo)
     return {"countT": c1, "countT2": c2, "equal": c1 == c2}
 
 
-def _memo_count(polytope: Polytope, m: int, memo: dict) -> int:
-    key = (polytope.facets, m)
+def _memo_count(tree: RootedBinaryTree, m: int, memo: dict) -> int:
+    """The count of m * R_T, keyed by the facets of R_T; building R_T
+    enumerates its vertices, so that happens only on a miss."""
+    key = (tuple(facets_RTI(tree, tree.interior_nodes)), m)
     if key not in memo:
-        memo[key] = count_lattice_points(polytope, m)
+        memo[key] = count_lattice_points(build_RT(tree), m)
     return memo[key]
 
 

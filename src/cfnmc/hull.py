@@ -1,4 +1,4 @@
-"""Exact convex hull H-description over the integers (test oracle).
+"""Exact convex hull H-description over the integers (the facet oracle).
 
 Given integer points, computes the affine hull (as integer equalities) and
 the irredundant facet inequalities of the convex hull restricted to the
@@ -6,8 +6,9 @@ affine hull, using the polar dual: translate an interior point to the
 origin, homogenize, and run the double description method on the dual cone.
 All arithmetic is integer/Fraction; no floating point.
 
-This is the independent oracle for the closed-form facet descriptions; it is
-never on the production path.
+This is the independent oracle for the closed-form facet descriptions:
+``polytope.h_reps_match`` runs it for ``survey`` and ``--verify-hull``, and
+the tests run it directly.  Nothing else depends on it.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ certified by marked S-pair reduction, not by trusting the construction.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
@@ -115,22 +114,6 @@ def kernel_member(matrix: ToricMatrix, binomial: MarkedBinomial) -> bool:
         if k not in matrix._columns:
             raise TreeError(f"unknown column key {k!r}")
     return matrix.monomial_sum(binomial.plus) == matrix.monomial_sum(binomial.minus)
-
-
-def quadratic_kernel_oracle(matrix: ToricMatrix) -> list:
-    """All degree-2 kernel binomials by brute force, deduplicated up to sign."""
-    if matrix.n_cols > 500:
-        raise TreeError("column cap exceeded for the quadratic oracle")
-    fibers = {}
-    for pair in combinations_with_replacement(matrix.keys, 2):
-        fibers.setdefault(matrix.monomial_sum(pair), []).append(pair)
-    out = []
-    for monos in fibers.values():
-        for m1, m2 in combinations(monos, 2):
-            hi, lo = max(m1, m2), min(m1, m2)
-            out.append(MarkedBinomial(hi, lo, "oracle"))
-    out.sort(key=lambda b: (b.plus, b.minus))
-    return out
 
 
 # -- recursive construction ------------------------------------------------------
@@ -260,8 +243,8 @@ def _dedupe(raw) -> list:
     seen = set()
     out = []
     for plus, minus, prov in raw:
-        mono_p = frozenset(Counter(plus).items())
-        mono_m = frozenset(Counter(minus).items())
+        mono_p = tuple(sorted(plus))
+        mono_m = tuple(sorted(minus))
         if mono_p == mono_m:
             continue
         key = frozenset((mono_p, mono_m))
@@ -437,29 +420,9 @@ def reducedness_report(gens) -> dict:
 
 
 def marking_consistent_with_weights(gens, order: LiftableOrder) -> bool:
-    """Each marked initial must weakly dominate its tail under the exported
-    weights (strictly unless the lexicographic tie-break decided)."""
-    for g in gens:
-        ini, tail = (g.plus, g.minus) if g.initial == "plus" else (g.minus, g.plus)
-        wi = sum(order.weight[k] for k in ini)
-        wt = sum(order.weight[k] for k in tail)
-        if wi < wt:
-            return False
-        if wi == wt and sorted(ini) < sorted(tail):
-            return False
-    return True
-
-
-def reduces_to_zero(binomial: MarkedBinomial, gens) -> bool:
-    """Whether plus - minus reduces to 0 against the marked basis."""
-    rules = _marked_rules(gens)
-    index = _InitialIndex(ini for ini, _ in rules)
-    try:
-        return _normal_form(tuple(sorted(binomial.plus)), rules, index) == _normal_form(
-            tuple(sorted(binomial.minus)), rules, index
-        )
-    except _ReductionDiverged:
-        return False
+    """Each marked initial must weakly dominate its tail in the exported
+    order, its lexicographic tie-break included."""
+    return all(order.compare(ini, tail) >= 0 for ini, tail in _marked_rules(gens))
 
 
 def fiber_connectivity(matrix: ToricMatrix, gens, degree_cap: int) -> bool:

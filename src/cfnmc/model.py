@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .paths import labeling_edges, topset_key, topset_of_edges
+from .paths import even_labelings, labeling_edges, topset_key, topset_of_edges
 from .tree import RootedBinaryTree, TreeError
 
 
@@ -113,35 +113,26 @@ def _all_labelings(n: int) -> list:
     return list(product((0, 1), repeat=n))
 
 
-def leaf_distribution_bruteforce(tree: RootedBinaryTree, params: ClockParams) -> LeafDistribution:
-    """Literal sum over all interior labelings; test oracle for the pruning."""
-    trans = _transitions(tree, params)
-    leaves = tree.leaves
-    interior = tree.interior_nodes
-    probs = {}
-    for assignment in _all_labelings(tree.n_leaves):
-        total = 0.0
-        for mask in range(2 ** len(interior)):
-            state = dict(zip(leaves, assignment))
-            for i, v in enumerate(interior):
-                state[v] = (mask >> i) & 1
-            term = 0.5
-            for v in tree.nodes():
-                if v == tree.root:
-                    continue
-                same, diff = trans[v]
-                term *= same if state[v] == state[tree.parent(v)] else diff
-            total += term
-        probs[assignment] = total
-    return LeafDistribution(probs)
-
-
 def fourier_transform(
     tree: RootedBinaryTree, dist: LeafDistribution, tol: float = 1e-9
 ) -> FourierPoint:
     """Sign transform q(g) = sum_j (-1)^(g.j) p(j); odd-sum entries must
     vanish and labelings sharing a top-set must agree, within tol, before
     collapsing onto the class coordinates."""
+    return _fourier_transform(tree, dist, tol, _class_keys(tree))
+
+
+def _class_keys(tree: RootedBinaryTree) -> dict:
+    """The top-set key of each even labeling's path system."""
+    return {
+        lab: topset_key(tree, topset_of_edges(tree, labeling_edges(tree, lab)))
+        for lab in even_labelings(tree.n_leaves)
+    }
+
+
+def _fourier_transform(
+    tree: RootedBinaryTree, dist: LeafDistribution, tol: float, class_keys: dict
+) -> FourierPoint:
     labelings = _all_labelings(tree.n_leaves)
     values = [dist.probs[lab] for lab in labelings]
     # fast in-place sign transform
@@ -160,7 +151,7 @@ def fourier_transform(
     for lab, val in qhat.items():
         if sum(lab) % 2 == 1:
             continue
-        key = topset_key(tree, topset_of_edges(tree, labeling_edges(tree, lab)))
+        key = class_keys[lab]
         if key in rcoords and abs(rcoords[key] - val) > tol:
             raise TreeError(
                 f"labelings with equal top-set disagree: {key}: "
@@ -168,17 +159,6 @@ def fourier_transform(
             )
         rcoords.setdefault(key, val)
     return FourierPoint(qhat, rcoords)
-
-
-def class_monomial_value(tree: RootedBinaryTree, params: ClockParams, key: str) -> float:
-    """Independent evaluation of a class coordinate as the product of
-    exp(-4 * alpha * height) over the marked nodes (the per-node parameters
-    the clock condition induces)."""
-    val = 1.0
-    for bit, v in zip(key, tree.interior_nodes):
-        if bit == "1":
-            val *= math.exp(-4.0 * params.alpha * params.heights[v])
-    return val
 
 
 def invariant_check(
@@ -191,10 +171,12 @@ def invariant_check(
     """Evaluate each binomial on the class coordinates of random clock
     parameter draws; all residuals must stay below tol."""
     rng = random.Random(seed)
+    class_keys = _class_keys(tree)  # depends on the tree only
     per_binomial = [0.0] * len(gens)
     for _ in range(samples):
         params = sample_clock_params(tree, rng)
-        point = fourier_transform(tree, leaf_distribution(tree, params), tol=tol).rcoords
+        dist = leaf_distribution(tree, params)
+        point = _fourier_transform(tree, dist, tol, class_keys).rcoords
         for i, g in enumerate(gens):
             plus = 1.0
             for k in g.plus:

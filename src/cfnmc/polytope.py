@@ -6,21 +6,20 @@ nodes, interpolates between the plain two-state model polytope (I empty,
 edge coordinates y) and R_T (I everything, node coordinates x): node
 coordinates below I, edge coordinates above.
 
-The closed-form facet lists here are production; the exact hull in
-``cfnmc.hull`` is the independent test oracle.
+The closed-form facet lists here are what the commands print.  The exact
+hull in ``cfnmc.hull`` is the independent oracle that ``h_reps_match``
+compares them against, for ``--verify-hull`` and ``survey``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import hull as _hull
 from .paths import even_labelings, labeling_edges, topset_of_edges
 from .tree import (
     RootedBinaryTree,
-    TreeError,
     enumerate_clusters,
     validate_order_ideal,
 )
@@ -255,52 +254,7 @@ def facets_RTI(tree: RootedBinaryTree, ideal) -> list:
     return [f.normalized() for f in out]
 
 
-# -- contraction map between R_T(I - {r}) and R_T(I) ---------------------------
-
-
-def contract_vertex_map(tree: RootedBinaryTree, ideal, r: int):
-    """The linear map sending R_T(I - {r}) onto R_T(I) for a maximal r in I:
-    keep shared coordinates, and set x_r = (-y_r + y_a + y_b)/2 with a, b the
-    children of r (the y_r term is absent when r is the root).
-
-    Returns a function on source points; fractional results indicate a bug.
-    """
-    ideal = validate_order_ideal(tree, ideal)
-    if r not in ideal:
-        raise TreeError("r must lie in the ideal")
-    smaller = ideal - {r}
-    validate_order_ideal(tree, smaller)
-    src_coords = rti_coordinates(tree, smaller)
-    dst_coords = rti_coordinates(tree, ideal)
-    src_index = {c: i for i, c in enumerate(src_coords)}
-    a, b = tree.children(r)
-
-    def apply(point):
-        out = []
-        for kind, v in dst_coords:
-            if kind == "x" and v == r:
-                val = Fraction(point[src_index[("y", a)]] + point[src_index[("y", b)]])
-                if r != tree.root:
-                    val -= point[src_index[("y", r)]]
-                val = val / 2
-                if val.denominator != 1:
-                    raise TreeError("contraction produced a non-integer point")
-                out.append(int(val))
-            else:
-                out.append(point[src_index[(kind, v)]])
-        return tuple(out)
-
-    return apply
-
-
 # -- hull oracle plumbing -------------------------------------------------------
-
-
-def hull_facets(vertices):
-    """Exact irredundant H-representation of conv(vertices) as Inequality
-    records (kind "hull").  Degenerate input raises with the affine hull."""
-    raw = _hull.hull_facets(vertices)
-    return [Inequality(c, r, "hull") for c, r in raw]
 
 
 def h_reps_match(polytope: Polytope) -> bool:
@@ -320,41 +274,7 @@ def h_reps_match(polytope: Polytope) -> bool:
     return claimed == oracle
 
 
-# -- caterpillar / zig-zag order polytope --------------------------------------
-
-
-def caterpillar_zigzag_map(n: int):
-    """The unimodular affine map x -> Dx + a with D = diag(1,-1,1,...) and
-    a = (0,1,0,1,...) carrying vert(R_C(n+1)) onto the vertices of the
-    zig-zag order polytope on n elements.  Returns (D_diagonal, a, apply)."""
-    if n < 1:
-        raise TreeError("need n >= 1")
-    diag = tuple(1 if i % 2 == 0 else -1 for i in range(n))
-    shift = tuple(0 if i % 2 == 0 else 1 for i in range(n))
-
-    def apply(x):
-        if len(x) != n:
-            raise TreeError(f"expected {n} coordinates, got {len(x)}")
-        return tuple(d * xi + s for d, xi, s in zip(diag, x, shift))
-
-    return diag, shift, apply
-
-
-def zigzag_order_polytope_vertices(n: int) -> list:
-    """0/1 points of the order polytope of the zig-zag poset p1 < p2 > p3 < ...
-    (weakly order-consistent labelings)."""
-    out = []
-    for mask in range(2 ** n):
-        v = [(mask >> i) & 1 for i in range(n)]
-        ok = True
-        for i in range(n - 1):
-            lo, hi = (i, i + 1) if i % 2 == 0 else (i + 1, i)
-            if v[lo] > v[hi]:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(v))
-    return sorted(out)
+# -- zig-zag order polytope -----------------------------------------------------
 
 
 def count_monotone_zigzag_maps(n: int, m: int) -> int:

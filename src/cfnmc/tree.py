@@ -399,16 +399,6 @@ def enumerate_topologies(n: int) -> list:
     return [tree_from_shape(s) for s in _shapes(n)]
 
 
-def caterpillar(n: int) -> RootedBinaryTree:
-    """The unique n-leaf shape with exactly one cherry."""
-    if n < 2:
-        raise TreeError("caterpillar needs n >= 2")
-    s = ((), ())
-    for _ in range(n - 2):
-        s = (s, ())
-    return tree_from_shape(s)
-
-
 # -- clusters ----------------------------------------------------------------
 
 
@@ -555,26 +545,10 @@ def _split_at(tree: RootedBinaryTree, v: int):
     return t1, t2
 
 
-def tfp_split(tree: RootedBinaryTree):
-    """Decompose at an interior node adjacent to exactly two interior nodes.
-
-    Returns (T1, T2, v) with v shared between the halves, or None when no
-    such node exists, which happens exactly for cluster trees (and for the
-    2-leaf tree).  The 3-leaf tree has no such node either, but is split at
-    its cherry; the second half is then the 2-leaf tree.
-    """
-    v = _tfp_node(tree)
-    if v is not None:
-        t1, t2 = _split_at(tree, v)
-        return t1, t2, v
-    if tree.n_leaves == 3:
-        cherry = next(u for u in tree.interior_nodes if u != tree.root)
-        t1, t2 = _split_at(tree, cherry)
-        return t1, t2, cherry
-    return None
-
-
 def _tfp_node(tree: RootedBinaryTree):
+    """The first interior node, in canonical preorder, adjacent to exactly
+    two interior nodes (the root: both children interior; any other node:
+    one interior child), or None."""
     for v in tree.interior_nodes:
         a, b = tree.children(v)
         interior_kids = tree.is_interior(a) + tree.is_interior(b)
@@ -587,11 +561,12 @@ def _tfp_node(tree: RootedBinaryTree):
 
 
 def is_cluster_tree(tree: RootedBinaryTree) -> bool:
-    """Every non-leaf vertex lies in some cluster C or its neighbor set N(C)."""
-    for cl in enumerate_clusters(tree):
-        if len(cl.members) * 2 + 3 == tree.n_leaves:
-            return True
-    return False
+    """Every non-leaf vertex lies in some cluster C or its neighbor set N(C).
+
+    Equivalently, the tree has n >= 4 leaves and no node to split at: the
+    root then has one leaf child and one interior child, and the cluster
+    nodes form one cluster with 2|C| + 3 = n."""
+    return tree.n_leaves >= 4 and _tfp_node(tree) is None
 
 
 def validate_order_ideal(tree: RootedBinaryTree, members) -> frozenset:

@@ -1,13 +1,35 @@
-"""Shared test fixtures: reference trees and small independent oracles."""
+"""Shared test fixtures: reference trees and small independent oracles.
 
+Nothing in the package calls these; each is what a test compares a
+production path against, or a construction only the tests need.
+"""
+
+import math
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from hypothesis import strategies as st
 
-from cfnmc.ideal import _REDUCTION_CAP, kernel_member
-from cfnmc.tree import RootedBinaryTree, TreeError, parse_newick
+from cfnmc.ideal import (
+    _REDUCTION_CAP,
+    MarkedBinomial,
+    _InitialIndex,
+    _marked_rules,
+    _normal_form,
+    _ReductionDiverged,
+    kernel_member,
+)
+from cfnmc.model import LeafDistribution
+from cfnmc.polytope import rti_coordinates
+from cfnmc.tree import (
+    RootedBinaryTree,
+    TreeError,
+    parse_newick,
+    tree_from_shape,
+    validate_order_ideal,
+)
 
 # The 5-leaf tree from the running example: root over ((cherry, cherry), leaf).
 FIG_TREE = "(((1,2),(3,4)),5);"
@@ -50,6 +72,16 @@ def spine_tree(m: int) -> RootedBinaryTree:
     for _ in range(m - 1):
         inner = f"({take_block()},{inner})"
     return parse_newick(f"(1,{inner});")
+
+
+def caterpillar(n: int) -> RootedBinaryTree:
+    """The unique n-leaf shape with exactly one cherry."""
+    if n < 2:
+        raise TreeError("caterpillar needs n >= 2")
+    s = ((), ())
+    for _ in range(n - 2):
+        s = (s, ())
+    return tree_from_shape(s)
 
 
 def order_ideals(tree):
@@ -122,6 +154,162 @@ def count_by_box(polytope, m: int) -> int:
     return sum(
         dilate.contains(x) for x in product(range(m + 1), repeat=polytope.dim)
     )
+
+
+def count_by_vertex_sums(polytope, m: int) -> int:
+    """Independent counter: by normality, the lattice points of m*P are
+    exactly the sums of m vertices (the zero vertex pads short sums)."""
+    if m == 0:
+        return 1
+    pts = set()
+    for combo in combinations_with_replacement(polytope.vertices, m):
+        pts.add(tuple(map(sum, zip(*combo))))
+    return len(pts)
+
+
+# -- polytope maps: contraction and the caterpillar's zig-zag order polytope --
+
+
+def contract_vertex_map(tree, ideal, r: int):
+    """The linear map sending R_T(I - {r}) onto R_T(I) for a maximal r in I:
+    keep shared coordinates, and set x_r = (-y_r + y_a + y_b)/2 with a, b the
+    children of r (the y_r term is absent when r is the root).
+
+    Returns a function on source points; fractional results indicate a bug.
+    """
+    ideal = validate_order_ideal(tree, ideal)
+    if r not in ideal:
+        raise TreeError("r must lie in the ideal")
+    smaller = ideal - {r}
+    validate_order_ideal(tree, smaller)
+    src_coords = rti_coordinates(tree, smaller)
+    dst_coords = rti_coordinates(tree, ideal)
+    src_index = {c: i for i, c in enumerate(src_coords)}
+    a, b = tree.children(r)
+
+    def apply(point):
+        out = []
+        for kind, v in dst_coords:
+            if kind == "x" and v == r:
+                val = Fraction(point[src_index[("y", a)]] + point[src_index[("y", b)]])
+                if r != tree.root:
+                    val -= point[src_index[("y", r)]]
+                val = val / 2
+                if val.denominator != 1:
+                    raise TreeError("contraction produced a non-integer point")
+                out.append(int(val))
+            else:
+                out.append(point[src_index[(kind, v)]])
+        return tuple(out)
+
+    return apply
+
+
+def caterpillar_zigzag_map(n: int):
+    """The unimodular affine map x -> Dx + a with D = diag(1,-1,1,...) and
+    a = (0,1,0,1,...) carrying vert(R_C(n+1)) onto the vertices of the
+    zig-zag order polytope on n elements.  Returns (D_diagonal, a, apply)."""
+    if n < 1:
+        raise TreeError("need n >= 1")
+    diag = tuple(1 if i % 2 == 0 else -1 for i in range(n))
+    shift = tuple(0 if i % 2 == 0 else 1 for i in range(n))
+
+    def apply(x):
+        if len(x) != n:
+            raise TreeError(f"expected {n} coordinates, got {len(x)}")
+        return tuple(d * xi + s for d, xi, s in zip(diag, x, shift))
+
+    return diag, shift, apply
+
+
+def zigzag_order_polytope_vertices(n: int) -> list:
+    """0/1 points of the order polytope of the zig-zag poset p1 < p2 > p3 < ...
+    (weakly order-consistent labelings)."""
+    out = []
+    for mask in range(2 ** n):
+        v = [(mask >> i) & 1 for i in range(n)]
+        ok = True
+        for i in range(n - 1):
+            lo, hi = (i, i + 1) if i % 2 == 0 else (i + 1, i)
+            if v[lo] > v[hi]:
+                ok = False
+                break
+        if ok:
+            out.append(tuple(v))
+    return sorted(out)
+
+
+# -- model oracles --------------------------------------------------------------
+
+
+def leaf_distribution_bruteforce(tree, params) -> LeafDistribution:
+    """Literal sum over all interior labelings; the oracle for the pruning
+    pass of model.leaf_distribution, so it works out each edge's
+    probability of keeping its state from the branch length itself."""
+    params.validate(tree)
+    keep = {
+        v: (1.0 + math.exp(-2.0 * params.alpha * params.branch_length(tree, v))) / 2.0
+        for v in tree.nodes()
+        if v != tree.root
+    }
+    leaves = tree.leaves
+    interior = tree.interior_nodes
+    probs = {}
+    for assignment in product((0, 1), repeat=tree.n_leaves):
+        total = 0.0
+        for mask in range(2 ** len(interior)):
+            state = dict(zip(leaves, assignment))
+            for i, v in enumerate(interior):
+                state[v] = (mask >> i) & 1
+            term = 0.5
+            for v, same in keep.items():
+                term *= same if state[v] == state[tree.parent(v)] else 1.0 - same
+            total += term
+        probs[assignment] = total
+    return LeafDistribution(probs)
+
+
+def class_monomial_value(tree, params, key: str) -> float:
+    """Independent evaluation of a class coordinate as the product of
+    exp(-4 * alpha * height) over the marked nodes (the per-node parameters
+    the clock condition induces)."""
+    val = 1.0
+    for bit, v in zip(key, tree.interior_nodes):
+        if bit == "1":
+            val *= math.exp(-4.0 * params.alpha * params.heights[v])
+    return val
+
+
+# -- ideal oracles ----------------------------------------------------------------
+
+
+def quadratic_kernel_oracle(matrix) -> list:
+    """All degree-2 kernel binomials by brute force, deduplicated up to sign."""
+    if matrix.n_cols > 500:
+        raise TreeError("column cap exceeded for the quadratic oracle")
+    fibers = {}
+    for pair in combinations_with_replacement(matrix.keys, 2):
+        fibers.setdefault(matrix.monomial_sum(pair), []).append(pair)
+    out = []
+    for monos in fibers.values():
+        for m1, m2 in combinations(monos, 2):
+            hi, lo = max(m1, m2), min(m1, m2)
+            out.append(MarkedBinomial(hi, lo, "oracle"))
+    out.sort(key=lambda b: (b.plus, b.minus))
+    return out
+
+
+def reduces_to_zero(binomial, gens) -> bool:
+    """Whether plus - minus reduces to 0 against the marked basis, by the
+    indexed rewriting groebner_verify uses."""
+    rules = _marked_rules(gens)
+    index = _InitialIndex(ini for ini, _ in rules)
+    try:
+        return _normal_form(tuple(sorted(binomial.plus)), rules, index) == _normal_form(
+            tuple(sorted(binomial.minus)), rules, index
+        )
+    except _ReductionDiverged:
+        return False
 
 
 # -- linear-scan oracles for the indexed Gröbner, reducedness and fiber code --

@@ -28,7 +28,6 @@ from cfnmc.ideal import (
     kernel_member,
 )
 from cfnmc.model import (
-    class_monomial_value,
     fourier_transform,
     invariant_check,
     leaf_distribution,
@@ -38,20 +37,24 @@ from cfnmc.paths import enumerate_topsets, topset_bits, vertex_bijection
 from cfnmc.polytope import (
     build_RT,
     build_RTI,
-    caterpillar_zigzag_map,
     count_monotone_zigzag_maps,
     h_reps_match,
-    zigzag_order_polytope_vertices,
 )
 from cfnmc.tree import (
     apply_nni,
-    caterpillar,
     enumerate_topologies,
     nni_triples,
     parse_newick,
 )
 
-from helpers import FIG_TREE, order_ideals
+from helpers import (
+    FIG_TREE,
+    caterpillar,
+    caterpillar_zigzag_map,
+    class_monomial_value,
+    order_ideals,
+    zigzag_order_polytope_vertices,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "five_leaf_example.json"
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from cfnmc.ehrhart import (
     EhrhartPolynomial,
-    count_by_vertex_sums,
     count_lattice_points,
     df_compression_audit,
     ehrhart_polynomial,
@@ -19,13 +18,19 @@ from cfnmc.polytope import build_RT, build_RTI, count_monotone_zigzag_maps
 from cfnmc.tree import (
     NniTriple,
     TreeError,
-    caterpillar,
     enumerate_topologies,
     nni_triples,
     parse_newick,
 )
 
-from helpers import FIG_TREE, count_by_box, order_ideals, random_newick
+from helpers import (
+    FIG_TREE,
+    caterpillar,
+    count_by_box,
+    count_by_vertex_sums,
+    order_ideals,
+    random_newick,
+)
 
 
 class TestSequences:
@@ -173,6 +178,20 @@ class TestNniCounts:
             for s1 in maintaining:
                 for s2 in maintaining:
                     assert _is_df_compressed(t, trip, [s1, s2], classes)
+
+    def test_shared_memo_builds_each_polytope_once(self, monkeypatch):
+        # R_T is built only for a (facets, dilate) not counted yet
+        import cfnmc.ehrhart as eh
+
+        built = []
+        build_rt = eh.build_RT
+        monkeypatch.setattr(eh, "build_RT", lambda t: built.append(t) or build_rt(t))
+        memo = {}
+        for t in enumerate_topologies(6):
+            for trip in nni_triples(t):
+                for m in (1, 2, 3):
+                    nni_count_check(t, trip, m, memo)
+        assert len(built) == len(memo) == 27
 
     def test_counts_magree_m_up_to_4(self):
         for n in (5, 6):

@@ -15,8 +15,7 @@ from cfnmc.ideal import (
     fiber_connectivity,
     groebner_verify,
     kernel_member,
-    quadratic_kernel_oracle,
-    reduces_to_zero,
+    marking_consistent_with_weights,
     reducedness_report,
 )
 from cfnmc.tree import TreeError, enumerate_topologies, is_cluster_tree, parse_newick
@@ -25,7 +24,9 @@ from helpers import (
     FIG_TREE,
     fiber_connectivity_by_scan,
     groebner_verify_by_scan,
+    quadratic_kernel_oracle,
     reducedness_by_scan,
+    reduces_to_zero,
     reduces_to_zero_by_scan,
 )
 
@@ -227,14 +228,21 @@ class TestFiberConnectivity:
 
 class TestReports:
     def test_reducedness_reported(self):
-        from cfnmc.ideal import marking_consistent_with_weights, reducedness_report
-
         for n in range(3, 7):
             for t in enumerate_topologies(n):
                 gens, order = construct_generators(t)
                 rep = reducedness_report(gens)
                 assert set(rep) == {"reduced", "violations"}
                 assert marking_consistent_with_weights(gens, order)
+
+    def test_marking_consistency_rejects_flips(self):
+        for n in range(4, 7):
+            for t in enumerate_topologies(n):
+                gens, order = construct_generators(t)
+                for i, g in enumerate(gens):
+                    flipped = list(gens)
+                    flipped[i] = replace(g, initial="minus")
+                    assert not marking_consistent_with_weights(flipped, order)
 
 
 class TestOrder:

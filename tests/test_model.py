@@ -6,16 +6,14 @@ import pytest
 from cfnmc.ideal import MarkedBinomial, construct_generators
 from cfnmc.model import (
     ClockParams,
-    class_monomial_value,
     fourier_transform,
     invariant_check,
     leaf_distribution,
-    leaf_distribution_bruteforce,
     sample_clock_params,
 )
-from cfnmc.tree import TreeError, caterpillar, enumerate_topologies, parse_newick
+from cfnmc.tree import TreeError, enumerate_topologies, parse_newick
 
-from helpers import FIG_TREE
+from helpers import FIG_TREE, caterpillar, class_monomial_value, leaf_distribution_bruteforce
 
 PARAM_TREE = "(((1,2),(3,4)),(5,6));"
 
@@ -155,6 +153,23 @@ class TestInvariantCheck:
         t = parse_newick("((1,2),3);")
         report = invariant_check(t, [], samples=3, seed=0)
         assert report["pass"] and report["binomials"] == []
+
+    def test_residuals_match_fourier_transform(self):
+        # each sample is collapsed onto the class coordinates exactly as
+        # fourier_transform collapses it
+        t = parse_newick(PARAM_TREE)
+        gens, _ = construct_generators(t)
+        report = invariant_check(t, gens, samples=5, seed=4)
+        rng = random.Random(4)
+        worst = [0.0] * len(gens)
+        for _ in range(5):
+            dist = leaf_distribution(t, sample_clock_params(t, rng))
+            point = fourier_transform(t, dist).rcoords
+            for i, g in enumerate(gens):
+                plus = math.prod(point[k] for k in g.plus)
+                minus = math.prod(point[k] for k in g.minus)
+                worst[i] = max(worst[i], abs(plus - minus))
+        assert [b["max_residual"] for b in report["binomials"]] == worst
 
     def test_deterministic_given_seed(self):
         t = parse_newick(FIG_TREE)

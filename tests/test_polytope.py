@@ -7,19 +7,25 @@ from cfnmc.polytope import (
     Inequality,
     build_RT,
     build_RTI,
-    caterpillar_zigzag_map,
-    contract_vertex_map,
     count_monotone_zigzag_maps,
     facets_RTI,
     h_reps_match,
-    hull_facets,
     rti_coordinates,
-    zigzag_order_polytope_vertices,
 )
 from cfnmc.paths import enumerate_topsets, topset_bits
-from cfnmc.tree import TreeError, caterpillar, enumerate_topologies, parse_newick
+from cfnmc.tree import TreeError, enumerate_topologies, parse_newick
 
-from helpers import FACET_TREE, FIG_TREE, named_interior, order_ideals, spine_tree
+from helpers import (
+    FACET_TREE,
+    FIG_TREE,
+    caterpillar,
+    caterpillar_zigzag_map,
+    contract_vertex_map,
+    named_interior,
+    order_ideals,
+    spine_tree,
+    zigzag_order_polytope_vertices,
+)
 
 
 class TestCorollary:
@@ -92,29 +98,29 @@ class TestCorollary:
 
 class TestHullOracle:
     def test_unit_square(self):
-        facets = hull_facets([(0, 0), (1, 0), (0, 1), (1, 1)])
+        facets = H.hull_facets([(0, 0), (1, 0), (0, 1), (1, 1)])
         assert len(facets) == 4
 
     def test_three_leaf_rt(self):
         t = parse_newick("((1,2),3);")
-        got = {(f.coeffs, f.rhs) for f in hull_facets(build_RT(t).vertices)}
+        got = set(H.hull_facets(build_RT(t).vertices))
         assert got == {((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)}
 
     def test_facet_tree_matches_corollary(self):
         t = parse_newick(FACET_TREE)
         P = build_RT(t)
-        oracle = {(f.coeffs, f.rhs) for f in hull_facets(P.vertices)}
+        oracle = set(H.hull_facets(P.vertices))
         claimed = {(f.coeffs, f.rhs) for f in map(Inequality.normalized, P.facets)}
         assert oracle == claimed
 
     def test_degenerate_reported(self):
         with pytest.raises(H.DegenerateInputError) as err:
-            hull_facets([(0, 0, 0), (1, 1, 0), (2, 2, 0)])
+            H.hull_facets([(0, 0, 0), (1, 1, 0), (2, 2, 0)])
         assert err.value.equalities
 
     def test_cross_polytope(self):
         pts = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-        assert len(hull_facets(pts)) == 8
+        assert len(H.hull_facets(pts)) == 8
 
 
 class TestRti:

@@ -5,18 +5,25 @@ from cfnmc.tree import (
     NewickError,
     NniTriple,
     TreeError,
+    _split_at,
+    _tfp_node,
     apply_nni,
-    caterpillar,
     enumerate_clusters,
     enumerate_topologies,
     is_cluster_tree,
     nni_triples,
     parse_newick,
-    tfp_split,
     tree_from_shape,
 )
 
-from helpers import CLUSTER_FIG_TREE, FIG_TREE, named_interior, random_newick, spine_tree
+from helpers import (
+    CLUSTER_FIG_TREE,
+    FIG_TREE,
+    caterpillar,
+    named_interior,
+    random_newick,
+    spine_tree,
+)
 
 
 class TestParsing:
@@ -265,9 +272,9 @@ class TestNni:
 class TestTfpSplit:
     def test_root_case(self):
         t = parse_newick("(((1,2),3),(4,5));")
-        res = tfp_split(t)
-        assert res is not None
-        t1, t2, v = res
+        v = _tfp_node(t)
+        assert v is not None
+        t1, t2 = _split_at(t, v)
         assert v == t.root
         assert {t1.n_leaves, t2.n_leaves} == {3, 4}
         assert v in t1.interior_nodes and v in t2.interior_nodes
@@ -275,30 +282,25 @@ class TestTfpSplit:
     def test_cluster_tree_none(self):
         t = parse_newick(FIG_TREE)
         assert is_cluster_tree(t)
-        assert tfp_split(t) is None
-
-    def test_three_leaf_cherry_split(self):
-        t = parse_newick("((1,2),3);")
-        res = tfp_split(t)
-        assert res is not None
-        t1, t2, v = res
-        assert t2.n_leaves == 2 and t2.root == v
-        assert v in t1.interior_nodes
+        assert _tfp_node(t) is None
 
     def test_none_iff_cluster(self):
-        for n in range(3, 9):
+        # the definition: some cluster C with 2|C| + 3 = n
+        for n in range(2, 11):
             for t in enumerate_topologies(n):
                 has_cluster = any(
                     2 * len(c.members) + 3 == n for c in enumerate_clusters(t)
                 )
-                assert (tfp_split(t) is None) == has_cluster == is_cluster_tree(t)
+                assert is_cluster_tree(t) == has_cluster, t.to_newick()
+                if n >= 4:
+                    assert (_tfp_node(t) is None) == has_cluster, t.to_newick()
 
     def test_nonroot_case_shapes(self):
         # the non-root worked example: split at the node with one leaf child
         t = parse_newick("((((1,2),3),(4,5)),6);")
-        res = tfp_split(t)
-        assert res is not None
-        t1, t2, v = res
+        v = _tfp_node(t)
+        assert v is not None
+        t1, t2 = _split_at(t, v)
         assert v != t.root
         assert {t1.n_leaves, t2.n_leaves} == {5, 3}
         assert t1.n_leaves + t2.n_leaves == t.n_leaves + 2
