@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import ehrhart as eh
 from . import ideal as id_
@@ -38,9 +39,43 @@ class CheckFailure(Exception):
 
 def _emit(args, payload: dict) -> None:
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        try:
+            text = _dumps(payload)
+        except _NotPlain:
+            text = json.dumps(payload, sort_keys=True, indent=2)
+        print(text)
     else:
         _human(payload)
+
+
+class _NotPlain(Exception):
+    """A payload _dumps leaves to json.dumps, such as a non-str dict key."""
+
+
+def _dumps(value, pad: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) with pad the newline and
+    indent of value's own line.  The indent makes json use its pure-Python
+    encoder; this writes the same text with only scalars going to json."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(k, str) for k in value):
+            raise _NotPlain()
+        inner = pad + "  "
+        items = (
+            encode_basestring_ascii(k) + ": " + _dumps(v, inner)
+            for k, v in sorted(value.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = (_dumps(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
 
 
 def _human(payload: dict, indent: int = 0) -> None:
@@ -188,8 +223,8 @@ def cmd_groebner_check(args) -> dict:
     out = []
     for tree in _trees_for(args):
         M = id_.build_matrix(tree)
-        gens, _ = id_.construct_generators(tree)
-        ok = id_.groebner_verify(M, gens)
+        gens, order = id_.construct_generators(tree)
+        ok = id_.groebner_verify(M, gens, order)
         sq = all(g.initial_squarefree() for g in gens)
         if not (ok and sq):
             raise CheckFailure(
@@ -265,8 +300,9 @@ def cmd_nni_check(args) -> dict:
                 if not res["equal"]:
                     raise CheckFailure({**entry, "m": m, **res})
             entry["counts_equal_up_to"] = args.dilate
+            audit_memo = {}
             for m in range(1, min(args.dilate, 3) + 1):
-                audit = eh.df_compression_audit(tree, triple, m)
+                audit = eh.df_compression_audit(tree, triple, m, audit_memo)
                 if not audit["all_compressed"]:
                     raise CheckFailure({**entry, "m": m, **audit})
             entry["df_audit_up_to"] = min(args.dilate, 3)

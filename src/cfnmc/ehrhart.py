@@ -228,35 +228,56 @@ def _memo_count(tree: RootedBinaryTree, m: int, memo: dict) -> int:
     return memo[key]
 
 
-def _is_df_compressed(tree, triple, topsets, maintaining) -> bool:
+def _is_df_compressed(triple, topsets, maintaining, blocked) -> bool:
     """A representation is d-compressed when either every summand avoiding
     b and c has d blocked, or every summand marking b is maintaining;
     f-compressed is the mirror image with c and f.  Minimal representations
     are always both.  ``maintaining`` maps each top-set of the tree to its
-    classification under the move."""
+    classification under the move, and ``blocked`` maps it to whether d
+    and whether f is blocked (_blocked)."""
     b, c = 1 << triple.b, 1 << triple.c
-    d = tree.sibling(triple.e)
-    f = tree.sibling(triple.c)
     plain = [s for s in topsets if not s & (b | c)]
-    d_ok = all(is_blocked(tree, s, d) for s in plain) or all(
+    d_ok = all(blocked[s][0] for s in plain) or all(
         maintaining[s] for s in topsets if s & b
     )
-    f_ok = all(is_blocked(tree, s, f) for s in plain) or all(
+    f_ok = all(blocked[s][1] for s in plain) or all(
         maintaining[s] for s in topsets if s & c
     )
     return d_ok and f_ok
 
 
-def df_compression_audit(tree: RootedBinaryTree, triple: NniTriple, m: int) -> dict:
+def _blocked(tree, triple, topsets) -> dict:
+    """(d blocked, f blocked) for each top-set, with d the sibling of e and f
+    the sibling of c."""
+    d = tree.sibling(triple.e)
+    f = tree.sibling(triple.c)
+    return {s: (is_blocked(tree, s, d), is_blocked(tree, s, f)) for s in topsets}
+
+
+def df_compression_audit(
+    tree: RootedBinaryTree, triple: NniTriple, m: int, memo: dict | None = None
+) -> dict:
     """For every lattice point of m*R_T, enumerate all representations as
     sums of m vertices, pick one minimizing the number of nonmaintaining
     summands, and check it is df-compressed.  Exponential; meant for m <= 3.
+
+    ``memo`` holds the top-sets of (tree, triple) with their vectors and
+    classifications under the move; a caller auditing several dilates of
+    one move passes one dict, so that each top-set is classified once.
     """
     if m > 3:
         raise TreeError("audit is exhaustive; use m <= 3")
-    topsets = enumerate_topsets(tree)
-    vec = {s: topset_bits(tree, s) for s in topsets}
-    maintaining = {s: classify_maintaining(tree, triple, s)[0] for s in topsets}
+    key = (tree.to_newick(), tuple(tree.interior_nodes), triple)
+    memo = {} if memo is None else memo
+    if key not in memo:
+        topsets = enumerate_topsets(tree)
+        memo[key] = (
+            topsets,
+            {s: topset_bits(tree, s) for s in topsets},
+            {s: classify_maintaining(tree, triple, s)[0] for s in topsets},
+            _blocked(tree, triple, topsets),
+        )
+    topsets, vec, maintaining, blocked = memo[key]
 
     def n_nonmaintaining(rep):
         return sum(not maintaining[s] for s in rep)
@@ -270,7 +291,7 @@ def df_compression_audit(tree: RootedBinaryTree, triple: NniTriple, m: int) -> d
     for point, reps in reps_of.items():
         best = min(reps, key=n_nonmaintaining)
         max_nonmaintaining = max(max_nonmaintaining, n_nonmaintaining(best))
-        if not _is_df_compressed(tree, triple, best, maintaining):
+        if not _is_df_compressed(triple, best, maintaining, blocked):
             return {
                 "points": len(reps_of),
                 "all_compressed": False,

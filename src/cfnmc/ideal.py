@@ -16,7 +16,10 @@ Each tree also carries a term order, realized as one big-integer weight per
 column assembled from positional stacking of the recursion's weight rows
 (block tag, pulled-back subtree weights, minor tie-breaks), with a final
 lexicographic tie-break on sorted column keys.  Gröbner correctness is then
-certified by marked S-pair reduction, not by trusting the construction.
+certified by marked S-pair reduction, not by trusting the construction.  Given
+the exported order, and only once every marking is checked to be a leading
+term under it, the certification skips S-pairs whose initial terms are
+coprime (Buchberger's first criterion); any other input reduces every pair.
 """
 
 from __future__ import annotations
@@ -86,7 +89,14 @@ class LiftableOrder:
     """Column weights realizing the constructed term order, plus the block
     tag of each column (augmentable for cluster trees, traversable
     otherwise).  Higher weight = bigger in the order; remaining ties break
-    lexicographically on sorted key tuples."""
+    lexicographically on sorted key tuples.
+
+    compare is a term order on monomials for any weights: it ranks by
+    degree first, so every monomial has finitely many below it, and each of
+    its three steps survives multiplying both sides by one monomial.  Degree
+    and weight are additive, and on sorted key tuples of equal length the
+    first differing position falls on the least key whose multiplicities
+    differ, which a common factor leaves in place."""
 
     weight: dict
     block_tag: dict
@@ -378,11 +388,25 @@ class _ReductionDiverged(Exception):
     pass
 
 
-def groebner_verify(matrix: ToricMatrix, gens) -> bool:
+def groebner_verify(
+    matrix: ToricMatrix, gens, order: LiftableOrder | None = None
+) -> bool:
     """Marked Buchberger criterion: markings must be squarefree kernel
     binomials and every S-pair must reduce to zero under marked rewriting.
     A diverging reduction (possible only for markings inconsistent with any
-    term order) counts as failure."""
+    term order) counts as failure.
+
+    When order is given and every marking strictly dominates its tail under
+    it (marking_consistent_with_weights), the markings are the leading terms
+    of the term order LiftableOrder.compare, and S-pairs whose initials are
+    coprime are skipped (Buchberger's first criterion).  For a - b and c - d
+    with a, c coprime the S-pair terms are b*c and a*d; each rewrites in one
+    step to b*d, so the pair reduces to zero, and rewriting terminates
+    because every step descends in the order.  Under a term order the
+    remaining pairs then decide the verdict as the full loop does.  A
+    marking that no term order induces can hide a failure in a coprime pair
+    (Reeves and Sturmfels, 1993), so without order, or on any marking the
+    order does not induce, every pair is reduced."""
     for g in gens:
         if g.initial not in ("plus", "minus"):
             raise TreeError("generator without a marked initial term")
@@ -394,8 +418,12 @@ def groebner_verify(matrix: ToricMatrix, gens) -> bool:
             return False
     rules = _marked_rules(gens)
     index = _InitialIndex(ini for ini, _ in rules)
+    if order is not None and marking_consistent_with_weights(gens, order):
+        pairs = _overlapping_pairs(rules)
+    else:
+        pairs = combinations_with_replacement(rules, 2)
     try:
-        for (p1, m1), (p2, m2) in combinations_with_replacement(rules, 2):
+        for (p1, m1), (p2, m2) in pairs:
             u = tuple(sorted([*m1, *_cofactor(p1, p2)]))
             w = tuple(sorted([*m2, *_cofactor(p2, p1)]))
             if _normal_form(u, rules, index) != _normal_form(w, rules, index):
@@ -403,6 +431,19 @@ def groebner_verify(matrix: ToricMatrix, gens) -> bool:
     except _ReductionDiverged:
         return False
     return True
+
+
+def _overlapping_pairs(rules):
+    """The pairs of combinations_with_replacement(rules, 2), in its order,
+    whose initials share a key; the coprime ones are left out."""
+    holders = {}
+    for i, (ini, _) in enumerate(rules):
+        for k in set(ini):
+            holders.setdefault(k, []).append(i)
+    for i, rule in enumerate(rules):
+        partners = {j for k in set(rule[0]) for j in holders[k] if j >= i}
+        for j in sorted(partners):
+            yield rule, rules[j]
 
 
 def reducedness_report(gens) -> dict:
@@ -420,9 +461,14 @@ def reducedness_report(gens) -> dict:
 
 
 def marking_consistent_with_weights(gens, order: LiftableOrder) -> bool:
-    """Each marked initial must weakly dominate its tail in the exported
-    order, its lexicographic tie-break included."""
-    return all(order.compare(ini, tail) >= 0 for ini, tail in _marked_rules(gens))
+    """Each marked initial must strictly dominate its tail in the exported
+    order, its lexicographic tie-break included, so that it is the leading
+    term of a nonzero binomial.  A key the order does not weigh fails."""
+    weighed = order.weight.keys()
+    return all(
+        weighed >= {*ini, *tail} and order.compare(ini, tail) > 0
+        for ini, tail in _marked_rules(gens)
+    )
 
 
 def fiber_connectivity(matrix: ToricMatrix, gens, degree_cap: int) -> bool:

@@ -162,9 +162,9 @@ def test_criterion_6_groebner_property():
     for n in range(2, 8):
         for tree in enumerate_topologies(n):
             M = build_matrix(tree)
-            gens, _ = construct_generators(tree)
+            gens, order = construct_generators(tree)
             assert all(g.initial_squarefree() for g in gens), (n, tree.to_newick())
-            assert groebner_verify(M, gens), (n, tree.to_newick())
+            assert groebner_verify(M, gens, order), (n, tree.to_newick())
             if n <= 6:
                 assert fiber_connectivity(M, gens, 4), (n, tree.to_newick())
     _report(

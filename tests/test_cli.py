@@ -1,9 +1,12 @@
+import argparse
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cfnmc.cli import main
+from cfnmc.cli import _dumps, _emit, main
 
 from helpers import FACET_TREE, FIG_TREE
 
@@ -109,6 +112,35 @@ class TestDeterminism:
         code, out, _ = run(capsys, "gens", "--leaves", str(n), "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @given(JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_tuples_and_non_str_keys(self, capsys):
+        # tuples print as lists; a non-str key goes to json.dumps whole
+        for payload in ({"a": (1, (2,)), "b": ()}, {"x": {1: "one", 2: [None]}}):
+            _emit(argparse.Namespace(json=True), payload)
+            want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            assert capsys.readouterr().out == want
 
 
 class TestSurvey:

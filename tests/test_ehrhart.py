@@ -166,7 +166,7 @@ class TestNniCounts:
     def test_zero_nonmaintaining_rep_trivially_compressed(self):
         # a representation whose summands are all maintaining satisfies both
         # compression conditions vacuously
-        from cfnmc.ehrhart import _is_df_compressed
+        from cfnmc.ehrhart import _blocked, _is_df_compressed
         from cfnmc.paths import classify_maintaining, enumerate_topsets
 
         t = caterpillar(5)
@@ -174,10 +174,11 @@ class TestNniCounts:
             classes = {
                 s: classify_maintaining(t, trip, s)[0] for s in enumerate_topsets(t)
             }
+            blocked = _blocked(t, trip, classes)
             maintaining = [s for s, keep in classes.items() if keep]
             for s1 in maintaining:
                 for s2 in maintaining:
-                    assert _is_df_compressed(t, trip, [s1, s2], classes)
+                    assert _is_df_compressed(trip, [s1, s2], classes, blocked)
 
     def test_shared_memo_builds_each_polytope_once(self, monkeypatch):
         # R_T is built only for a (facets, dilate) not counted yet
@@ -192,6 +193,27 @@ class TestNniCounts:
                 for m in (1, 2, 3):
                     nni_count_check(t, trip, m, memo)
         assert len(built) == len(memo) == 27
+
+    def test_audit_memo_classifies_each_topset_once(self, monkeypatch):
+        # one memo per move: every dilate reuses the classification, and
+        # the audits equal the ones made without a memo
+        import cfnmc.ehrhart as eh
+        from cfnmc.paths import enumerate_topsets
+
+        classified = []
+        classify = eh.classify_maintaining
+        monkeypatch.setattr(
+            eh,
+            "classify_maintaining",
+            lambda t, trip, s: classified.append(s) or classify(t, trip, s),
+        )
+        for t in enumerate_topologies(6):
+            for trip in nni_triples(t):
+                memo = {}
+                classified.clear()
+                audits = [df_compression_audit(t, trip, m, memo) for m in (1, 2, 3)]
+                assert sorted(classified) == sorted(enumerate_topsets(t))
+                assert audits == [df_compression_audit(t, trip, m) for m in (1, 2, 3)]
 
     def test_counts_magree_m_up_to_4(self):
         for n in (5, 6):

@@ -353,6 +353,124 @@ class TestIndexedAgainstScan:
                     ), (t.to_newick(), k)
 
 
+FAILING_EIGHT_LEAF = ["(1,((2,3),(4,((5,6),(7,8)))));", "(((1,2),(3,4)),((5,6),(7,8)));"]
+
+
+def full_and_pruned(M, gens, order):
+    """groebner_verify without and with the order; the second skips coprime
+    pairs only when the markings pass marking_consistent_with_weights."""
+    return groebner_verify(M, gens), groebner_verify(M, gens, order)
+
+
+class TestPrunedAgainstFull:
+    """Given the exported order, groebner_verify skips coprime S-pairs once
+    every marking is a leading term under it; its verdicts equal the full
+    loop's, and markings the order does not induce fall back to that loop."""
+
+    def test_all_shapes_up_to_seven(self):
+        for n in range(2, 8):
+            for t in enumerate_topologies(n):
+                M = build_matrix(t)
+                gens, order = construct_generators(t)
+                assert full_and_pruned(M, gens, order) == (True, True), t.to_newick()
+
+    def test_eight_leaf_failures_stay_rejected(self):
+        for text in FAILING_EIGHT_LEAF:
+            t = parse_newick(text)
+            gens, order = construct_generators(t)
+            assert full_and_pruned(build_matrix(t), gens, order) == (False, False), text
+
+    def test_eight_leaf_caterpillar(self):
+        t = parse_newick("(((((((1,2),3),4),5),6),7),8);")
+        gens, order = construct_generators(t)
+        assert full_and_pruned(build_matrix(t), gens, order) == (True, True)
+
+    @pytest.mark.slow
+    def test_all_shapes_at_eight(self):
+        failing = []
+        for t in enumerate_topologies(8):
+            M = build_matrix(t)
+            gens, order = construct_generators(t)
+            full, pruned = full_and_pruned(M, gens, order)
+            assert full == pruned, t.to_newick()
+            if not full:
+                failing.append(t.to_newick())
+        assert sorted(failing) == sorted(FAILING_EIGHT_LEAF)
+
+    def test_consistent_prefixes(self):
+        # prefixes keep the order's markings, so they take the pruned path;
+        # most are not Groebner bases of the ideal they generate
+        rejected = 0
+        for n in range(4, 7):
+            for t in enumerate_topologies(n):
+                M = build_matrix(t)
+                gens, order = construct_generators(t)
+                for k in sorted({1, 2, 3, len(gens) // 3, len(gens) // 2, len(gens) - 1}):
+                    sub = gens[:k]
+                    assert marking_consistent_with_weights(sub, order)
+                    full, pruned = full_and_pruned(M, sub, order)
+                    assert full == pruned, (t.to_newick(), k)
+                    rejected += not full
+        assert rejected > 0
+
+    def test_single_flips_fall_back(self):
+        rejected = 0
+        for n in range(2, 6):
+            for t in enumerate_topologies(n):
+                M = build_matrix(t)
+                gens, order = construct_generators(t)
+                for i, g in enumerate(gens):
+                    flipped = list(gens)
+                    flipped[i] = replace(g, initial="minus")
+                    assert not marking_consistent_with_weights(flipped, order)
+                    got = groebner_verify(M, flipped, order)
+                    assert got == groebner_verify_by_scan(M, flipped), (t.to_newick(), i)
+                    rejected += not got
+        assert rejected > 0
+
+    def test_cyclic_marking_hits_the_cap(self):
+        t = parse_newick(FIG_TREE)
+        M = build_matrix(t)
+        gens, order = construct_generators(t)
+        cyclic = [gens[0], replace(gens[0], initial="minus")]
+        assert not groebner_verify(M, cyclic, order)
+
+    def test_zero_binomials_fall_back(self):
+        # a - a marks no leading term, so neither takes the pruned path.  The
+        # empty one shares no key even with itself, and only the full loop
+        # sees its rewriting diverge; a copy of gens[0]'s initial never
+        # rewrites, since gens[0] comes first with the same initial.
+        t = parse_newick(FIG_TREE)
+        M = build_matrix(t)
+        gens, order = construct_generators(t)
+        for zero, want in (
+            (MarkedBinomial((), (), "oracle"), False),
+            (replace(gens[0], minus=gens[0].plus), True),
+        ):
+            assert not marking_consistent_with_weights([*gens, zero], order)
+            assert full_and_pruned(M, [*gens, zero], order) == (want, want)
+
+    def test_coprime_pairs_skipped(self, monkeypatch):
+        t = parse_newick("((((1,2),3),4),((5,6),7));")
+        M = build_matrix(t)
+        gens, order = construct_generators(t)
+        calls = []
+        normal_form = ideal_mod._normal_form
+        monkeypatch.setattr(
+            ideal_mod, "_normal_form", lambda *a: calls.append(a[0]) or normal_form(*a)
+        )
+        assert groebner_verify(M, gens)
+        full = len(calls)
+        calls.clear()
+        assert groebner_verify(M, gens, order)
+        g = len(gens)
+        overlapping = sum(
+            bool(set(a.plus) & set(b.plus))
+            for a, b in combinations_with_replacement(gens, 2)
+        )
+        assert full == g * (g + 1) and len(calls) == 2 * overlapping < full // 2
+
+
 class TestTopsetEnumeration:
     def test_each_tree_enumerated_once_per_construction(self, monkeypatch):
         calls = []
