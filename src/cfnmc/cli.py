@@ -39,28 +39,19 @@ class CheckFailure(Exception):
 
 def _emit(args, payload: dict) -> None:
     if args.json:
-        try:
-            text = _dumps(payload)
-        except _NotPlain:
-            text = json.dumps(payload, sort_keys=True, indent=2)
-        print(text)
+        print(_dumps(payload))
     else:
         _human(payload)
 
 
-class _NotPlain(Exception):
-    """A payload _dumps leaves to json.dumps, such as a non-str dict key."""
-
-
 def _dumps(value, pad: str = "\n") -> str:
-    """json.dumps(value, sort_keys=True, indent=2) with pad the newline and
-    indent of value's own line.  The indent makes json use its pure-Python
-    encoder; this writes the same text with only scalars going to json."""
+    """json.dumps(value, sort_keys=True, indent=2) for str-keyed dicts, with
+    pad the newline and indent of value's own line.  The indent makes json
+    use its pure-Python encoder; this writes the same text with only scalars
+    going to json."""
     if isinstance(value, dict):
         if not value:
             return "{}"
-        if not all(isinstance(k, str) for k in value):
-            raise _NotPlain()
         inner = pad + "  "
         items = (
             encode_basestring_ascii(k) + ": " + _dumps(v, inner)

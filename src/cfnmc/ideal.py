@@ -67,7 +67,6 @@ class MarkedBinomial:
     plus: tuple
     minus: tuple
     provenance: str
-    initial: str = "plus"
 
     def degree(self) -> int:
         return len(self.plus)
@@ -79,7 +78,7 @@ class MarkedBinomial:
         return {
             "plus": list(self.plus),
             "minus": list(self.minus),
-            "initial": self.initial,
+            "initial": "plus",
             "provenance": self.provenance,
         }
 
@@ -364,11 +363,7 @@ def _cofactor(a: tuple, b: tuple) -> list:
 
 def _marked_rules(gens) -> list:
     """(initial, tail) of every generator as sorted key tuples."""
-    rules = []
-    for g in gens:
-        ini, tail = (g.plus, g.minus) if g.initial == "plus" else (g.minus, g.plus)
-        rules.append((tuple(sorted(ini)), tuple(sorted(tail))))
-    return rules
+    return [(tuple(sorted(g.plus)), tuple(sorted(g.minus))) for g in gens]
 
 
 def _normal_form(mono: tuple, rules, index: _InitialIndex) -> tuple:
@@ -408,8 +403,6 @@ def groebner_verify(
     (Reeves and Sturmfels, 1993), so without order, or on any marking the
     order does not induce, every pair is reduced."""
     for g in gens:
-        if g.initial not in ("plus", "minus"):
-            raise TreeError("generator without a marked initial term")
         if not kernel_member(matrix, g):
             return False
         if len(g.plus) != len(g.minus):

@@ -64,7 +64,6 @@ class RootedBinaryTree:
         "_parent",
         "_leaf_label",
         "_min_leaf",
-        "_depth",
         "_interior",
         "_interior_index",
         "n_leaves",
@@ -111,16 +110,13 @@ class RootedBinaryTree:
         # Preorder walk: left child is popped first, so self._interior comes
         # out in canonical preorder.
         self._interior = []
-        self._depth = {}
-        stack = [(root, 0)]
+        stack = [root]
         while stack:
-            v, d = stack.pop()
-            self._depth[v] = d
+            v = stack.pop()
             if v in self._children:
                 self._interior.append(v)
                 left, right = self._children[v]
-                stack.append((right, d + 1))
-                stack.append((left, d + 1))
+                stack += (right, left)
         self._interior_index = {v: i for i, v in enumerate(self._interior)}
         self.n_leaves = len(self._leaf_label)
         if len(self._interior) != self.n_leaves - 1:
@@ -161,9 +157,6 @@ class RootedBinaryTree:
 
     def leaf_label(self, v: int) -> int:
         return self._leaf_label[v]
-
-    def depth(self, v: int) -> int:
-        return self._depth[v]
 
     @property
     def interior_nodes(self) -> tuple:
@@ -230,25 +223,6 @@ class RootedBinaryTree:
             return (sa, sb) if sa <= sb else (sb, sa)
 
         return shape(self.root)
-
-    def to_json_dict(self) -> dict:
-        interior = []
-        for v in self._interior:
-            kids = []
-            for k in self._children[v]:
-                if self.is_leaf(k):
-                    kids.append(f"L{self._leaf_label[k]}")
-                else:
-                    kids.append(self._interior_index[k])
-            p = self._parent.get(v)
-            interior.append(
-                {
-                    "index": self._interior_index[v],
-                    "parent": None if p is None else self._interior_index[p],
-                    "children": kids,
-                }
-            )
-        return {"n_leaves": self.n_leaves, "interior": interior}
 
     def __repr__(self) -> str:
         return f"RootedBinaryTree({self.to_newick()!r})"
@@ -402,57 +376,41 @@ def enumerate_topologies(n: int) -> list:
 # -- clusters ----------------------------------------------------------------
 
 
+def _interior_degree(tree: RootedBinaryTree, v: int) -> int:
+    """Number of interior nodes adjacent to the interior node v.  The parent
+    of a non-root node is always interior, so only the children are tested."""
+    a, b = tree.children(v)
+    return (v != tree.root) + tree.is_interior(a) + tree.is_interior(b)
+
+
 def cluster_nodes(tree: RootedBinaryTree) -> list:
-    """Interior nodes adjacent to three interior nodes (i.e. both children
-    interior; the parent of a non-root interior node always is)."""
-    out = []
-    for v in tree.interior_nodes:
-        if v == tree.root:
-            continue
-        a, b = tree.children(v)
-        if tree.is_interior(a) and tree.is_interior(b):
-            out.append(v)
-    return out
+    """Interior nodes adjacent to three interior nodes, in canonical preorder."""
+    return [v for v in tree.interior_nodes if _interior_degree(tree, v) == 3]
 
 
 def enumerate_clusters(tree: RootedBinaryTree) -> list:
-    """All clusters of the tree, sorted by their member index sets."""
-    cnodes = cluster_nodes(tree)
-    cset = set(cnodes)
-    adj = {v: set() for v in cnodes}
-    for v in cnodes:
-        p = tree.parent(v)
-        if p in cset:
-            adj[v].add(p)
-            adj[p].add(v)
-    clusters = []
-    seen = set()
-    # Grow connected subsets from each start node, admitting only additions
-    # of nodes larger than the start to avoid revisits.
-    order = {v: i for i, v in enumerate(cnodes)}
+    """All clusters of the tree, sorted by their member index sets.
 
-    def grow(current: frozenset, frontier: set):
-        if current in seen:
-            return
-        seen.add(current)
-        clusters.append(current)
-        for w in sorted(frontier, key=order.get):
-            grow(current | {w}, (frontier | adj[w]) - current - {w})
-
-    for v in cnodes:
-        grow(frozenset([v]), set(adj[v]))
+    A connected set of nodes in a rooted tree has exactly one top, the
+    member every other member descends from.  Each cluster is grown from its
+    top down through cluster-node children, so it is produced exactly once,
+    and its top is its max_vertex."""
+    grown = {}
+    # Reversed preorder visits children before their parent.
+    for v in reversed(cluster_nodes(tree)):
+        sets = [frozenset([v])]
+        for k in tree.children(v):
+            if k in grown:
+                sets += [s | below for s in sets for below in grown[k]]
+        grown[v] = sets
     result = []
-    for members in clusters:
-        neighbors = set()
-        for v in members:
-            p = tree.parent(v)
-            if p is not None and tree.is_interior(p) and p not in members:
-                neighbors.add(p)
-            for k in tree.children(v):
-                if tree.is_interior(k) and k not in members:
-                    neighbors.add(k)
-        max_vertex = min(members, key=tree.depth)
-        result.append(Cluster(members, frozenset(neighbors), max_vertex))
+    for top, sets in grown.items():
+        for members in sets:
+            # Cluster nodes have two interior children; the top's parent is
+            # the one interior neighbor above the set.
+            below = {k for v in members for k in tree.children(v)}
+            neighbors = frozenset({tree.parent(top), *below} - members)
+            result.append(Cluster(members, neighbors, top))
     result.sort(key=lambda c: tuple(sorted(tree.interior_index(v) for v in c.members)))
     return result
 
@@ -547,15 +505,9 @@ def _split_at(tree: RootedBinaryTree, v: int):
 
 def _tfp_node(tree: RootedBinaryTree):
     """The first interior node, in canonical preorder, adjacent to exactly
-    two interior nodes (the root: both children interior; any other node:
-    one interior child), or None."""
+    two interior nodes, or None."""
     for v in tree.interior_nodes:
-        a, b = tree.children(v)
-        interior_kids = tree.is_interior(a) + tree.is_interior(b)
-        if v == tree.root:
-            if interior_kids == 2:
-                return v
-        elif interior_kids == 1:
+        if _interior_degree(tree, v) == 2:
             return v
     return None
 

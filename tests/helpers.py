@@ -342,11 +342,7 @@ def normal_form_by_scan(mono: Counter, rules) -> tuple:
 
 
 def _rules(gens) -> list:
-    out = []
-    for g in gens:
-        ini, tail = (g.plus, g.minus) if g.initial == "plus" else (g.minus, g.plus)
-        out.append((Counter(ini), Counter(tail)))
-    return out
+    return [(Counter(g.plus), Counter(g.minus)) for g in gens]
 
 
 def reduces_to_zero_by_scan(binomial, gens) -> bool:
@@ -363,8 +359,6 @@ def reduces_to_zero_by_scan(binomial, gens) -> bool:
 def groebner_verify_by_scan(matrix, gens) -> bool:
     """groebner_verify with every divisor found by scanning all rules."""
     for g in gens:
-        if g.initial not in ("plus", "minus"):
-            raise TreeError("generator without a marked initial term")
         if not kernel_member(matrix, g):
             return False
         if len(g.plus) != len(g.minus) or len(set(g.plus)) != len(g.plus):

@@ -241,7 +241,7 @@ class TestReports:
                 gens, order = construct_generators(t)
                 for i, g in enumerate(gens):
                     flipped = list(gens)
-                    flipped[i] = replace(g, initial="minus")
+                    flipped[i] = replace(g, plus=g.minus, minus=g.plus)
                     assert not marking_consistent_with_weights(flipped, order)
 
 
@@ -306,7 +306,7 @@ class TestIndexedAgainstScan:
                 gens, _ = construct_generators(t)
                 for i, g in enumerate(gens):
                     flipped = list(gens)
-                    flipped[i] = replace(g, initial="minus")
+                    flipped[i] = replace(g, plus=g.minus, minus=g.plus)
                     got = groebner_verify(M, flipped)
                     assert got == groebner_verify_by_scan(M, flipped), (t.to_newick(), i)
                     rejected += not got
@@ -318,7 +318,7 @@ class TestIndexedAgainstScan:
             oracle = quadratic_kernel_oracle(build_matrix(t))
             for i, g in enumerate(gens):
                 flipped = list(gens)
-                flipped[i] = replace(g, initial="minus")
+                flipped[i] = replace(g, plus=g.minus, minus=g.plus)
                 for b in oracle:
                     assert reduces_to_zero(b, flipped) == reduces_to_zero_by_scan(
                         b, flipped
@@ -329,7 +329,7 @@ class TestIndexedAgainstScan:
         t = parse_newick(FIG_TREE)
         M = build_matrix(t)
         g = construct_generators(t)[0][0]
-        cyclic = [g, replace(g, initial="minus")]
+        cyclic = [g, replace(g, plus=g.minus, minus=g.plus)]
         assert not groebner_verify(M, cyclic)
         assert not groebner_verify_by_scan(M, cyclic)
         assert not reduces_to_zero(g, cyclic)
@@ -421,7 +421,7 @@ class TestPrunedAgainstFull:
                 gens, order = construct_generators(t)
                 for i, g in enumerate(gens):
                     flipped = list(gens)
-                    flipped[i] = replace(g, initial="minus")
+                    flipped[i] = replace(g, plus=g.minus, minus=g.plus)
                     assert not marking_consistent_with_weights(flipped, order)
                     got = groebner_verify(M, flipped, order)
                     assert got == groebner_verify_by_scan(M, flipped), (t.to_newick(), i)
@@ -432,7 +432,7 @@ class TestPrunedAgainstFull:
         t = parse_newick(FIG_TREE)
         M = build_matrix(t)
         gens, order = construct_generators(t)
-        cyclic = [gens[0], replace(gens[0], initial="minus")]
+        cyclic = [gens[0], replace(gens[0], plus=gens[0].minus, minus=gens[0].plus)]
         assert not groebner_verify(M, cyclic, order)
 
     def test_zero_binomials_fall_back(self):

@@ -1,6 +1,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfnmc import hull as H
 from cfnmc.polytope import (
@@ -13,7 +15,7 @@ from cfnmc.polytope import (
     rti_coordinates,
 )
 from cfnmc.paths import enumerate_topsets, topset_bits
-from cfnmc.tree import TreeError, enumerate_topologies, parse_newick
+from cfnmc.tree import TreeError, enumerate_clusters, enumerate_topologies, parse_newick
 
 from helpers import (
     FACET_TREE,
@@ -23,6 +25,7 @@ from helpers import (
     contract_vertex_map,
     named_interior,
     order_ideals,
+    random_newick,
     spine_tree,
     zigzag_order_polytope_vertices,
 )
@@ -193,6 +196,26 @@ class TestRti:
             for t in enumerate_topologies(n):
                 for I in order_ideals(t):
                     assert h_reps_match(build_RTI(t, I)), (n, t.to_newick(), I)
+
+    @settings(max_examples=20, deadline=None)
+    @given(random_newick(8).map(parse_newick), st.data())
+    def test_random_ideals_match_hull(self, t, data):
+        # the exhaustive test above stops at n = 5
+        I = data.draw(st.sampled_from(order_ideals(t)))
+        assert h_reps_match(build_RTI(t, I)), (t.to_newick(), I)
+
+    def test_cluster_ideals_match_hull(self):
+        # Few random draws hold a cluster inside a partial ideal, where the
+        # cluster inequality meets a y-coordinate; check every such ideal.
+        checked = 0
+        for n in (6, 7):
+            for t in enumerate_topologies(n):
+                clusters = enumerate_clusters(t)
+                for I in order_ideals(t)[:-1]:
+                    if any(c.members <= I for c in clusters):
+                        assert h_reps_match(build_RTI(t, I)), (t.to_newick(), I)
+                        checked += 1
+        assert checked == 5 + 19
 
     def test_coordinate_count(self):
         for t in enumerate_topologies(5):

@@ -105,12 +105,6 @@ class TestParsing:
                 assert len(t.interior_nodes) == n - 1
                 assert len(t.nodes()) == 2 * n - 1  # 2n-2 edges
 
-    def test_json_dump(self):
-        d = parse_newick(FIG_TREE).to_json_dict()
-        assert d["n_leaves"] == 5
-        assert [e["index"] for e in d["interior"]] == [0, 1, 2, 3]
-        assert d["interior"][0]["parent"] is None
-
 
 class TestTopologies:
     def test_wedderburn_etherington(self):
@@ -191,13 +185,18 @@ class TestClusters:
                         assert t.parent(v) is not None
 
     def test_bruteforce_cluster_oracle(self):
-        # every connected interior subset passing the predicate is returned
+        # every connected interior subset passing the predicate is returned,
+        # with the member all others descend from as max_vertex and the
+        # interior nodes adjacent to the set, outside it, as neighbor_set
         from itertools import combinations
 
-        for n in range(4, 9):
+        for n in range(4, 11):
             for t in enumerate_topologies(n):
-                got = {c.members for c in enumerate_clusters(t)}
-                want = set()
+                got = {
+                    c.members: (c.max_vertex, c.neighbor_set)
+                    for c in enumerate_clusters(t)
+                }
+                want = {}
                 interior = t.interior_nodes
                 for r in range(1, len(interior) + 1):
                     for sub in combinations(interior, r):
@@ -216,13 +215,19 @@ class TestClusters:
                                 if u in s and u not in seen:
                                     seen.add(u)
                                     frontier.append(u)
-                        if seen == s:
-                            want.add(frozenset(s))
+                        if seen != s:
+                            continue
+                        (top,) = [v for v in s if s <= t.subtree_nodes(v)]
+                        adjacent = {
+                            u for v in s for u in (t.parent(v), *t.children(v))
+                        }
+                        neighbors = {u for u in adjacent - s if t.is_interior(u)}
+                        want[frozenset(s)] = (top, frozenset(neighbors))
                 assert got == want, (n, t.to_newick())
 
     def test_fulltree_neighbor_count(self):
         # |N(C)| = |C| + 2 for clusters of the whole tree
-        for n in range(4, 9):
+        for n in range(4, 11):
             for t in enumerate_topologies(n):
                 for c in enumerate_clusters(t):
                     assert len(c.neighbor_set) == len(c.members) + 2
