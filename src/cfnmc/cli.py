@@ -259,6 +259,8 @@ def cmd_model_check(args) -> dict:
             worst = max(report["binomials"], key=lambda b: b["max_residual"], default=None)
             raise CheckFailure({"tree": tree.to_newick(), "worst": worst})
         out.append(report)
+    if not any(report["binomials"] for report in out):
+        raise TreeError("no binomial to check: no requested tree has a generator")
     return {"trees": out}
 
 
@@ -298,6 +300,8 @@ def cmd_nni_check(args) -> dict:
                     raise CheckFailure({**entry, "m": m, **audit})
             entry["df_audit_up_to"] = min(args.dilate, 3)
             out.append(entry)
+    if not out:
+        raise TreeError("no NNI move to check: no requested tree has one")
     return {"pairs": out}
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb, factorial
 
 from .paths import classify_maintaining, enumerate_topsets, is_blocked, topset_bits
@@ -228,24 +227,6 @@ def _memo_count(tree: RootedBinaryTree, m: int, memo: dict) -> int:
     return memo[key]
 
 
-def _is_df_compressed(triple, topsets, maintaining, blocked) -> bool:
-    """A representation is d-compressed when either every summand avoiding
-    b and c has d blocked, or every summand marking b is maintaining;
-    f-compressed is the mirror image with c and f.  Minimal representations
-    are always both.  ``maintaining`` maps each top-set of the tree to its
-    classification under the move, and ``blocked`` maps it to whether d
-    and whether f is blocked (_blocked)."""
-    b, c = 1 << triple.b, 1 << triple.c
-    plain = [s for s in topsets if not s & (b | c)]
-    d_ok = all(blocked[s][0] for s in plain) or all(
-        maintaining[s] for s in topsets if s & b
-    )
-    f_ok = all(blocked[s][1] for s in plain) or all(
-        maintaining[s] for s in topsets if s & c
-    )
-    return d_ok and f_ok
-
-
 def _blocked(tree, triple, topsets) -> dict:
     """(d blocked, f blocked) for each top-set, with d the sibling of e and f
     the sibling of c."""
@@ -257,14 +238,28 @@ def _blocked(tree, triple, topsets) -> dict:
 def df_compression_audit(
     tree: RootedBinaryTree, triple: NniTriple, m: int, memo: dict | None = None
 ) -> dict:
-    """For every lattice point of m*R_T, enumerate all representations as
-    sums of m vertices, pick one minimizing the number of nonmaintaining
-    summands, and check it is df-compressed.  Exponential; meant for m <= 3.
+    """For every lattice point of m*R_T, take a representation as a sum of m
+    vertices with the fewest nonmaintaining summands (the first such in
+    combinations_with_replacement order), and check it is df-compressed.
+    Exponential; meant for m <= 3.
 
-    ``memo`` holds the top-sets of (tree, triple) with their vectors and
-    classifications under the move; a caller auditing several dilates of
+    A representation is d-compressed when either every summand avoiding b
+    and c has d blocked, or every summand marking b is maintaining;
+    f-compressed is the mirror image with c and f.  Minimal representations
+    are always both.  Each top-set contributes its vector packed two bits per
+    coordinate (a coordinate of a sum of m <= 3 vertices is at most 3), its
+    nonmaintaining count, and four flags: plain with d unblocked (1), plain
+    with f unblocked (2), marking b and nonmaintaining (4), marking c and
+    nonmaintaining (8).  A representation's point and cost are then sums and
+    its flags an OR, and it fails exactly when it has flags 1 and 4, or 2
+    and 8.  Coordinate j of a point sits at bits 2j and 2j+1.
+
+    ``memo`` holds the top-sets of (tree, triple) with their packed vectors
+    and classifications under the move; a caller auditing several dilates of
     one move passes one dict, so that each top-set is classified once.
     """
+    if m < 1:
+        raise TreeError("dilate must be >= 1")
     if m > 3:
         raise TreeError("audit is exhaustive; use m <= 3")
     key = (tree.to_newick(), tuple(tree.interior_nodes), triple)
@@ -273,33 +268,57 @@ def df_compression_audit(
         topsets = enumerate_topsets(tree)
         memo[key] = (
             topsets,
-            {s: topset_bits(tree, s) for s in topsets},
+            {
+                s: sum(x << 2 * j for j, x in enumerate(topset_bits(tree, s)))
+                for s in topsets
+            },
             {s: classify_maintaining(tree, triple, s)[0] for s in topsets},
             _blocked(tree, triple, topsets),
         )
-    topsets, vec, maintaining, blocked = memo[key]
+    topsets, packed, maintaining, blocked = memo[key]
+    b, c = 1 << triple.b, 1 << triple.c
+    rows = []  # (packed vector, nonmaintaining count, flags) per top-set
+    for s in topsets:
+        plain = not s & (b | c)
+        lost = not maintaining[s]
+        d_blocked, f_blocked = blocked[s]
+        flags = (
+            (plain and not d_blocked)
+            | (plain and not f_blocked) << 1
+            | (lost and s & b != 0) << 2
+            | (lost and s & c != 0) << 3
+        )
+        rows.append((packed[s], int(lost), flags))
 
-    def n_nonmaintaining(rep):
-        return sum(not maintaining[s] for s in rep)
-
-    reps_of = {}
-    for rep in combinations_with_replacement(topsets, m):
-        point = tuple(map(sum, zip(*(vec[s] for s in rep))))
-        reps_of.setdefault(point, []).append(rep)
-    audited = 0
+    # the first m-1 summands, in combinations_with_replacement order, each
+    # with the index the next summand starts from
+    prefixes = [(0, 0, 0, 0)]
+    for _ in range(m - 1):
+        prefixes = [
+            (j, point + p, cost + k, flags | f)
+            for i, point, cost, flags in prefixes
+            for j, (p, k, f) in enumerate(rows[i:], i)
+        ]
+    best = {}  # point -> (cost, flags) of its first minimal representation
+    for i, point, cost, flags in prefixes:
+        for p, k, f in rows[i:]:
+            q = point + p
+            seen = best.get(q)
+            if seen is None or cost + k < seen[0]:
+                best[q] = (cost + k, flags | f)
     max_nonmaintaining = 0
-    for point, reps in reps_of.items():
-        best = min(reps, key=n_nonmaintaining)
-        max_nonmaintaining = max(max_nonmaintaining, n_nonmaintaining(best))
-        if not _is_df_compressed(triple, best, maintaining, blocked):
+    for point, (cost, flags) in best.items():
+        if (flags & 1 and flags & 4) or (flags & 2 and flags & 8):
             return {
-                "points": len(reps_of),
+                "points": len(best),
                 "all_compressed": False,
-                "counterexample": point,
+                "counterexample": tuple(
+                    point >> 2 * j & 3 for j in range(len(tree.interior_nodes))
+                ),
             }
-        audited += 1
+        max_nonmaintaining = max(max_nonmaintaining, cost)
     return {
-        "points": audited,
+        "points": len(best),
         "all_compressed": True,
         "max_nonmaintaining_in_minimal": max_nonmaintaining,
     }

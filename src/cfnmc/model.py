@@ -87,24 +87,36 @@ def _transitions(tree: RootedBinaryTree, params: ClockParams) -> dict:
 def leaf_distribution(tree: RootedBinaryTree, params: ClockParams) -> LeafDistribution:
     """Exact marginal over hidden interior states with a uniform root.
 
-    Computed by the usual pruning factorization of the full sum over the
-    2^(n-1) interior labelings: one bottom-up pass per leaf assignment, each
-    node carrying (P(leaves below | 0), P(leaves below | 1)).
+    Computed by Felsenstein's pruning in tabulated form: one bottom-up pass
+    in which each node carries, for every assignment of the leaves below it,
+    (P(leaves below | 0), P(leaves below | 1)).  An assignment is a bitmask
+    with leaf i at bit n-1-i, so a root mask is the index of its labeling in
+    _all_labelings order.
     """
     trans = _transitions(tree, params)
-    leaves = tree.leaves
+    n = tree.n_leaves
+    below = {
+        leaf: {0: (1.0, 0.0), 1 << (n - 1 - i): (0.0, 1.0)}
+        for i, leaf in enumerate(tree.leaves)
+    }
+    for v in reversed(tree.interior_nodes):  # children before parents
+        table = {0: (1.0, 1.0)}
+        for k in tree.children(v):
+            same, diff = trans[k]
+            up = [
+                (mk, same * p0 + diff * p1, diff * p0 + same * p1)
+                for mk, (p0, p1) in below.pop(k).items()
+            ]
+            table = {
+                m | mk: (b0 * u0, b1 * u1)
+                for m, (b0, b1) in table.items()
+                for mk, u0, u1 in up
+            }
+        below[v] = table
+    root = below[tree.root]
     probs = {}
-    for assignment in _all_labelings(tree.n_leaves):
-        below = {leaf: (1.0 - s, float(s)) for leaf, s in zip(leaves, assignment)}
-        for v in reversed(tree.interior_nodes):  # children before parents
-            b0 = b1 = 1.0
-            for k in tree.children(v):
-                same, diff = trans[k]
-                p0, p1 = below[k]
-                b0 *= same * p0 + diff * p1
-                b1 *= diff * p0 + same * p1
-            below[v] = (b0, b1)
-        b0, b1 = below[tree.root]
+    for mask, assignment in enumerate(_all_labelings(n)):
+        b0, b1 = root[mask]
         probs[assignment] = 0.5 * (b0 + b1)
     return LeafDistribution(probs)
 

@@ -12,6 +12,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from hypothesis import strategies as st
 
+from cfnmc.ehrhart import _blocked
 from cfnmc.ideal import (
     _REDUCTION_CAP,
     MarkedBinomial,
@@ -21,7 +22,8 @@ from cfnmc.ideal import (
     _ReductionDiverged,
     kernel_member,
 )
-from cfnmc.model import LeafDistribution
+from cfnmc.model import LeafDistribution, _transitions
+from cfnmc.paths import classify_maintaining, enumerate_topsets, topset_bits
 from cfnmc.polytope import rti_coordinates
 from cfnmc.tree import (
     RootedBinaryTree,
@@ -239,6 +241,67 @@ def zigzag_order_polytope_vertices(n: int) -> list:
     return sorted(out)
 
 
+# -- NNI audit oracle -----------------------------------------------------------
+
+
+def _is_df_compressed(triple, topsets, maintaining, blocked) -> bool:
+    """A representation is d-compressed when either every summand avoiding
+    b and c has d blocked, or every summand marking b is maintaining;
+    f-compressed is the mirror image with c and f.  ``maintaining`` maps
+    each top-set of the tree to its classification under the move, and
+    ``blocked`` maps it to whether d and whether f is blocked (_blocked)."""
+    b, c = 1 << triple.b, 1 << triple.c
+    plain = [s for s in topsets if not s & (b | c)]
+    d_ok = all(blocked[s][0] for s in plain) or all(
+        maintaining[s] for s in topsets if s & b
+    )
+    f_ok = all(blocked[s][1] for s in plain) or all(
+        maintaining[s] for s in topsets if s & c
+    )
+    return d_ok and f_ok
+
+
+def df_compression_audit_by_reps(tree, triple, m: int, memo=None) -> dict:
+    """df_compression_audit by listing every representation of every point
+    as a sum of m vertices and taking min over each list.  With ``memo`` (a
+    df_compression_audit memo), the classifications are read from it, so
+    both audits can be given the same doctored flags."""
+    if m > 3:
+        raise TreeError("audit is exhaustive; use m <= 3")
+    if memo is None:
+        topsets = enumerate_topsets(tree)
+        maintaining = {s: classify_maintaining(tree, triple, s)[0] for s in topsets}
+        blocked = _blocked(tree, triple, topsets)
+    else:
+        ((topsets, _, maintaining, blocked),) = memo.values()
+    vec = {s: topset_bits(tree, s) for s in topsets}
+
+    def n_nonmaintaining(rep):
+        return sum(not maintaining[s] for s in rep)
+
+    reps_of = {}
+    for rep in combinations_with_replacement(topsets, m):
+        point = tuple(map(sum, zip(*(vec[s] for s in rep))))
+        reps_of.setdefault(point, []).append(rep)
+    audited = 0
+    max_nonmaintaining = 0
+    for point, reps in reps_of.items():
+        best = min(reps, key=n_nonmaintaining)
+        max_nonmaintaining = max(max_nonmaintaining, n_nonmaintaining(best))
+        if not _is_df_compressed(triple, best, maintaining, blocked):
+            return {
+                "points": len(reps_of),
+                "all_compressed": False,
+                "counterexample": point,
+            }
+        audited += 1
+    return {
+        "points": audited,
+        "all_compressed": True,
+        "max_nonmaintaining_in_minimal": max_nonmaintaining,
+    }
+
+
 # -- model oracles --------------------------------------------------------------
 
 
@@ -266,6 +329,29 @@ def leaf_distribution_bruteforce(tree, params) -> LeafDistribution:
                 term *= same if state[v] == state[tree.parent(v)] else 1.0 - same
             total += term
         probs[assignment] = total
+    return LeafDistribution(probs)
+
+
+def leaf_distribution_by_assignment(tree, params) -> LeafDistribution:
+    """The pruning factorization run once per leaf assignment: a full
+    bottom-up pass for each of the 2^n assignments, with the same float
+    operations per node as the tabulated model.leaf_distribution, whose
+    probabilities must equal these exactly."""
+    trans = _transitions(tree, params)
+    leaves = tree.leaves
+    probs = {}
+    for assignment in product((0, 1), repeat=tree.n_leaves):
+        below = {leaf: (1.0 - s, float(s)) for leaf, s in zip(leaves, assignment)}
+        for v in reversed(tree.interior_nodes):  # children before parents
+            b0 = b1 = 1.0
+            for k in tree.children(v):
+                same, diff = trans[k]
+                p0, p1 = below[k]
+                b0 *= same * p0 + diff * p1
+                b1 *= diff * p0 + same * p1
+            below[v] = (b0, b1)
+        b0, b1 = below[tree.root]
+        probs[assignment] = 0.5 * (b0 + b1)
     return LeafDistribution(probs)
 
 

@@ -78,6 +78,18 @@ class TestExitCodes:
         code, out, err = run(capsys, "vertices", "--tree", deep)
         assert code == 2 and out == "" and err.startswith("error:")
 
+    def test_nni_check_with_no_move(self, capsys):
+        # a 2-leaf tree has no NNI move, so nothing would be checked
+        for argv in (("--tree", "(1,2);"), ("--leaves", "2")):
+            code, out, err = run(capsys, "nni-check", *argv, "--json")
+            assert code == 2 and out == "" and err.startswith("error:"), argv
+
+    def test_model_check_with_no_binomial(self, capsys):
+        # no shape on 2 or 3 leaves has a generator, so nothing would be checked
+        for argv in (("--tree", "(1,2);"), ("--leaves", "2"), ("--leaves", "3")):
+            code, out, err = run(capsys, "model-check", *argv, "--samples", "2")
+            assert code == 2 and out == "" and err.startswith("error:"), argv
+
     def test_dilate_below_one(self, capsys):
         for dilate in ("0", "-1"):
             code, out, err = run(
@@ -125,6 +137,30 @@ class TestDeterminism:
         # every shape with 9 and 10 leaves, past the sizes the hull oracle
         # compares in the tests.
         code, out, _ = run(capsys, "facets", "--leaves", str(n), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("model-check", "--leaves", "7", "--samples", "20", "--seed", "1"),
+                "c7274e26084a8be53262e26a126e5d962b63c5b83fcd399b08fafd0b03e75b6e",
+            ),
+            (
+                ("nni-check", "--leaves", "6", "--dilate", "3"),
+                "4aea5a1c079f38700b772388800b2ab8cf75976df169a9d539bc1eabfd21b872",
+            ),
+            (
+                ("nni-check", "--leaves", "7", "--dilate", "3"),
+                "4e279c15baf3615b7b3fa33a84f68a7ca0d1c585fed9bb25c99328ec11dad7c7",
+            ),
+        ],
+    )
+    def test_check_output_pinned(self, capsys, argv, digest):
+        # Pins the per-move dilate counts and audits, and the float bits of
+        # every max_residual of the seeded model check.
+        code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,9 +26,11 @@ from cfnmc.tree import (
 
 from helpers import (
     FIG_TREE,
+    _is_df_compressed,
     caterpillar,
     count_by_box,
     count_by_vertex_sums,
+    df_compression_audit_by_reps,
     order_ideals,
     random_newick,
 )
@@ -152,7 +155,7 @@ class TestNniCounts:
         assert res["countT"] == res["countT2"] == fibonacci(6)
 
     def test_audit_all_pairs_small(self):
-        for n in (5, 6):
+        for n in (5, 6, 7):
             for t in enumerate_topologies(n):
                 for trip in nni_triples(t):
                     for m in (1, 2, 3):
@@ -166,7 +169,7 @@ class TestNniCounts:
     def test_zero_nonmaintaining_rep_trivially_compressed(self):
         # a representation whose summands are all maintaining satisfies both
         # compression conditions vacuously
-        from cfnmc.ehrhart import _blocked, _is_df_compressed
+        from cfnmc.ehrhart import _blocked
         from cfnmc.paths import classify_maintaining, enumerate_topsets
 
         t = caterpillar(5)
@@ -179,6 +182,74 @@ class TestNniCounts:
             for s1 in maintaining:
                 for s2 in maintaining:
                     assert _is_df_compressed(trip, [s1, s2], classes, blocked)
+
+    def test_audit_equals_rep_list_oracle(self):
+        # the single pass picks the same minimal representation per point as
+        # listing every representation, on every move with n <= 7
+        for n in range(3, 8):
+            for t in enumerate_topologies(n):
+                for trip in nni_triples(t):
+                    memo = {}
+                    for m in (1, 2, 3):
+                        assert df_compression_audit(t, trip, m, memo) == (
+                            df_compression_audit_by_reps(t, trip, m)
+                        ), (t.to_newick(), trip, m)
+
+    @given(
+        newick=random_newick(max_leaves=7),
+        pick=st.integers(0, 10**6),
+        m=st.integers(1, 3),
+        flip_seed=st.integers(0, 2**32),
+        flip_rate=st.sampled_from([0.05, 0.2, 0.5]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_audit_equals_oracle_on_doctored_flags(
+        self, newick, pick, m, flip_seed, flip_rate
+    ):
+        # flipped maintaining and blocked flags reach the counterexample
+        # branch and the tie-break between minimal representations, which
+        # no real tree does
+        t = parse_newick(newick)
+        triples = nni_triples(t)
+        if not triples:
+            return
+        trip = triples[pick % len(triples)]
+        memo = {}
+        df_compression_audit(t, trip, 1, memo)
+        ((key, (topsets, packed, maintaining, blocked)),) = memo.items()
+        rng = random.Random(flip_seed)
+        maintaining = {
+            s: keep != (rng.random() < flip_rate) for s, keep in maintaining.items()
+        }
+        blocked = {
+            s: tuple(x != (rng.random() < flip_rate) for x in pair)
+            for s, pair in blocked.items()
+        }
+        doctored = {key: (topsets, packed, maintaining, blocked)}
+        assert df_compression_audit(t, trip, m, doctored) == (
+            df_compression_audit_by_reps(t, trip, m, doctored)
+        )
+
+    def test_doctored_flags_reach_counterexamples(self):
+        # every summand nonmaintaining and nothing blocked: each point with
+        # a summand marking b and one avoiding b and c is not compressed
+        t = caterpillar(6)
+        for trip in nni_triples(t):
+            memo = {}
+            df_compression_audit(t, trip, 1, memo)
+            ((key, (topsets, packed, maintaining, blocked)),) = memo.items()
+            doctored = {
+                key: (
+                    topsets,
+                    packed,
+                    dict.fromkeys(topsets, False),
+                    dict.fromkeys(topsets, (False, False)),
+                )
+            }
+            for m in (2, 3):
+                audit = df_compression_audit(t, trip, m, doctored)
+                assert not audit["all_compressed"]
+                assert audit == df_compression_audit_by_reps(t, trip, m, doctored)
 
     def test_shared_memo_builds_each_polytope_once(self, monkeypatch):
         # R_T is built only for a (facets, dilate) not counted yet

@@ -13,7 +13,13 @@ from cfnmc.model import (
 )
 from cfnmc.tree import TreeError, enumerate_topologies, parse_newick
 
-from helpers import FIG_TREE, caterpillar, class_monomial_value, leaf_distribution_bruteforce
+from helpers import (
+    FIG_TREE,
+    caterpillar,
+    class_monomial_value,
+    leaf_distribution_bruteforce,
+    leaf_distribution_by_assignment,
+)
 
 PARAM_TREE = "(((1,2),(3,4)),(5,6));"
 
@@ -65,6 +71,17 @@ class TestLeafDistribution:
             assert d1.probs.keys() == d2.probs.keys()
             for k in d1.probs:
                 assert abs(d1.probs[k] - d2.probs[k]) < 1e-12, t.to_newick()
+
+    def test_tabulated_pruning_equals_per_assignment_pass(self):
+        # the same float operations in the same order: equal to the bit
+        rng = random.Random(5)
+        shapes = [t for n in range(2, 9) for t in enumerate_topologies(n)]
+        for t in shapes + [caterpillar(10)]:
+            p = sample_clock_params(t, rng)
+            d1 = leaf_distribution(t, p).probs
+            d2 = leaf_distribution_by_assignment(t, p).probs
+            assert list(d1) == list(d2)
+            assert d1 == d2, t.to_newick()
 
 
 class TestFourier:
