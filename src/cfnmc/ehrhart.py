@@ -207,9 +207,10 @@ def nni_count_check(
 ) -> dict:
     """Dilate counts of R_T and R_T' for an NNI-adjacent pair.
 
-    ``memo`` maps (facets, m) to a count already made; a caller checking
-    many pairs passes one dict so that each polytope is built and counted
-    once per dilate."""
+    ``memo`` maps (facets, m) to a count already made, and each tree's
+    Newick string to its facets; a caller checking many pairs passes one
+    dict so that each tree's facets are built once, and each polytope is
+    built and counted once per dilate."""
     if m < 1:
         raise TreeError("dilate must be >= 1")
     memo = {} if memo is None else memo
@@ -220,8 +221,12 @@ def nni_count_check(
 
 def _memo_count(tree: RootedBinaryTree, m: int, memo: dict) -> int:
     """The count of m * R_T, keyed by the facets of R_T; building R_T
-    enumerates its vertices, so that happens only on a miss."""
-    key = (tuple(facets_RTI(tree, tree.interior_nodes)), m)
+    enumerates its vertices, so that happens only on a miss.  The Newick
+    string fixes the facets, so they are built once per tree."""
+    newick = tree.to_newick()
+    if newick not in memo:
+        memo[newick] = tuple(facets_RTI(tree, tree.interior_nodes))
+    key = (memo[newick], m)
     if key not in memo:
         memo[key] = count_lattice_points(build_RT(tree), m)
     return memo[key]

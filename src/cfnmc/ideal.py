@@ -466,39 +466,87 @@ def marking_consistent_with_weights(gens, order: LiftableOrder) -> bool:
 
 def fiber_connectivity(matrix: ToricMatrix, gens, degree_cap: int) -> bool:
     """Markov-style check: inside every fiber of total degree <= cap, the
-    moves given by the generators connect all monomials."""
+    moves given by the generators connect all monomials.
+
+    Monomials and fiber keys are packed ints.  Column j is the exponent
+    vector 1 << width*j, and its matrix column packs row r into field r, so
+    multiplying by x_j is one addition and a fiber key is a sum.  The rows
+    are 0/1 and no degree reaches 2**width, so no field carries.
+
+    Each degree's components are lifted from the degree below.  An edge of
+    degree d above a move's degree is that move times a cofactor; peeling
+    one variable x_j off the cofactor makes it an edge of degree d - 1 times
+    x_j.  So the components at degree d are the unions of the moves of
+    degree exactly d and of (low + x_j, root(low) + x_j), for every monomial
+    low of degree d - 1 that is not its component's root and every column j.
+
+    Every move is first checked to be a kernel member; one that leaves its
+    fiber makes the verdict False.  After that no union crosses fibers, so
+    the fibers of a degree are all connected exactly when the roots number
+    as many as the distinct fiber keys."""
+    if degree_cap < 1:
+        raise TreeError("degree cap must be >= 1")
     if degree_cap > 4 and matrix.n_cols > 25:
         raise TreeError("degree cap too large for exhaustive fiber walks")
-    moves = []
+    if any(x not in (0, 1) for row in matrix.rows for x in row):
+        raise TreeError("fiber walks need a 0/1 matrix")
+    n = matrix.n_cols
+    reach = max([degree_cap, *(len(t) for g in gens for t in (g.plus, g.minus))])
+    width = reach.bit_length()
+    var = [1 << width * j for j in range(n)]
+    col = [sum(x << width * r for r, x in enumerate(c)) for c in zip(*matrix.rows)]
+    index = dict(zip(matrix.keys, range(n)))
+
+    def pack(term):
+        """(monomial, fiber key) of a term of column keys."""
+        mono = key = 0
+        for k in term:
+            if k not in index:
+                raise TreeError(f"unknown column key {k!r}")
+            mono += var[index[k]]
+            key += col[index[k]]
+        return mono, key
+
+    moves, in_kernel = {}, True
     for g in gens:
-        plus, minus = tuple(sorted(g.plus)), tuple(sorted(g.minus))
-        moves += [(plus, minus), (minus, plus)]
-    index = _InitialIndex(src for src, _ in moves)
+        (a, key_a), (b, key_b) = pack(g.plus), pack(g.minus)
+        in_kernel = in_kernel and len(g.plus) == len(g.minus) and key_a == key_b
+        moves.setdefault(len(g.plus), []).append((a, b))
+    if not in_kernel:
+        return False
+
+    def union(x, y):
+        # links the larger root under the smaller, so parent[i] <= i always
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+        else:
+            parent[x] = y
+
+    # Degree 0 is the monomial 1.  tops[i] is the largest column of monos[i];
+    # extending by the columns from it on makes each monomial once.
+    monos, keys, tops, roots = [0], [0], [0], [0]
     for degree in range(1, degree_cap + 1):
-        fibers = {}
-        for mono in combinations_with_replacement(matrix.keys, degree):
-            fibers.setdefault(matrix.monomial_sum(mono), []).append(mono)
-        for monos in fibers.values():
-            if len(monos) == 1:
-                continue
-            position = {m: i for i, m in enumerate(monos)}
-            parent = list(range(len(monos)))
-
-            def find(i):
-                while parent[i] != i:
-                    parent[i] = parent[parent[i]]
-                    i = parent[i]
-                return i
-
-            for mono in monos:
-                sorted_mono = tuple(sorted(mono))
-                for src, positions in index.dividing(sorted_mono):
-                    for j in positions:
-                        target = _exchange(sorted_mono, src, moves[j][1])
-                        ri, rj = find(position[mono]), find(position[target])
-                        if ri != rj:
-                            parent[ri] = rj
-            roots = {find(i) for i in range(len(monos))}
-            if len(roots) > 1:
-                return False
+        up, up_keys, up_tops = [], [], []
+        for mono, key, top in zip(monos, keys, tops):
+            up += [mono + v for v in var[top:]]
+            up_keys += [key + c for c in col[top:]]
+            up_tops += range(top, n)
+        position = dict(zip(up, range(len(up))))
+        parent = list(range(len(up)))
+        for a, b in moves.get(degree, ()):
+            union(position[a], position[b])
+        for low, root in enumerate(roots):
+            if low != root:
+                for v in var:
+                    union(position[monos[low] + v], position[monos[root] + v])
+        # parent[i] <= i, so one ascending pass leaves each entry at its root
+        for i, p in enumerate(parent):
+            parent[i] = parent[p]
+        if sum(i == p for i, p in enumerate(parent)) != len(set(up_keys)):
+            return False
+        monos, keys, tops, roots = up, up_keys, up_tops, parent
     return True

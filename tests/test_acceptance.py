@@ -165,11 +165,10 @@ def test_criterion_6_groebner_property():
             gens, order = construct_generators(tree)
             assert all(g.initial_squarefree() for g in gens), (n, tree.to_newick())
             assert groebner_verify(M, gens, order), (n, tree.to_newick())
-            if n <= 6:
-                assert fiber_connectivity(M, gens, 4), (n, tree.to_newick())
+            assert fiber_connectivity(M, gens, 4), (n, tree.to_newick())
     _report(
         "criterion 6 (quadratic Groebner basis)",
-        "all shapes n <= 7, fiber cap 4 for n <= 6",
+        "all shapes n <= 7, fiber cap 4 included",
     )
 
 

@@ -155,11 +155,20 @@ class TestDeterminism:
                 ("nni-check", "--leaves", "7", "--dilate", "3"),
                 "4e279c15baf3615b7b3fa33a84f68a7ca0d1c585fed9bb25c99328ec11dad7c7",
             ),
+            (
+                ("markov-check", "--leaves", "6", "--degree", "4"),
+                "4054da352bfa94a1d718315007af8963e4bbc68c5d92bc15f31915476079cf95",
+            ),
+            (
+                ("markov-check", "--leaves", "7", "--degree", "3"),
+                "86c29f9a7929fea446ddcf0fbb622e459a8ee7639d8fd92c57489448b53bf060",
+            ),
         ],
     )
     def test_check_output_pinned(self, capsys, argv, digest):
-        # Pins the per-move dilate counts and audits, and the float bits of
-        # every max_residual of the seeded model check.
+        # Pins the per-move dilate counts and audits, the float bits of
+        # every max_residual of the seeded model check, and the fiber
+        # walks' report.
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -19,6 +19,7 @@ from cfnmc.polytope import build_RT, build_RTI, count_monotone_zigzag_maps
 from cfnmc.tree import (
     NniTriple,
     TreeError,
+    apply_nni,
     enumerate_topologies,
     nni_triples,
     parse_newick,
@@ -252,18 +253,26 @@ class TestNniCounts:
                 assert audit == df_compression_audit_by_reps(t, trip, m, doctored)
 
     def test_shared_memo_builds_each_polytope_once(self, monkeypatch):
-        # R_T is built only for a (facets, dilate) not counted yet
+        # R_T is built only for a (facets, dilate) not counted yet, and the
+        # facets of each tree only once, under its Newick string
         import cfnmc.ehrhart as eh
 
-        built = []
-        build_rt = eh.build_RT
+        built, faceted = [], []
+        build_rt, facets_rti = eh.build_RT, eh.facets_RTI
         monkeypatch.setattr(eh, "build_RT", lambda t: built.append(t) or build_rt(t))
+        monkeypatch.setattr(
+            eh, "facets_RTI", lambda t, i: faceted.append(t) or facets_rti(t, i)
+        )
         memo = {}
+        newicks = set()
         for t in enumerate_topologies(6):
             for trip in nni_triples(t):
+                newicks |= {t.to_newick(), apply_nni(t, trip).to_newick()}
                 for m in (1, 2, 3):
                     nni_count_check(t, trip, m, memo)
-        assert len(built) == len(memo) == 27
+        counts = [key for key in memo if not isinstance(key, str)]
+        assert len(built) == len(counts) == 27
+        assert len(faceted) == len(newicks) == len(memo) - len(counts)
 
     def test_audit_memo_classifies_each_topset_once(self, monkeypatch):
         # one memo per move: every dilate reuses the classification, and

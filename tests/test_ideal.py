@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations_with_replacement
@@ -225,6 +226,48 @@ class TestFiberConnectivity:
         t = parse_newick("((1,2),3);")
         assert fiber_connectivity(build_matrix(t), [], 4)
 
+    @pytest.mark.slow
+    def test_all_shapes_at_eight_to_degree_four(self):
+        # the two shapes whose markings fail the S-pair check still span I_A
+        shapes = 0
+        for t in enumerate_topologies(8):
+            gens, _ = construct_generators(t)
+            assert fiber_connectivity(build_matrix(t), gens, 4), t.to_newick()
+            shapes += 1
+        assert shapes == 23
+
+    def test_non_kernel_move_fails(self):
+        # the source 000*011 shares its fiber with 001*010, so the walk
+        # reaches the move; its target 000*100 lies in another fiber
+        t = parse_newick("((1,2),(3,4));")
+        M = build_matrix(t)
+        gens, _ = construct_generators(t)
+        bad = MarkedBinomial(("000", "011"), ("000", "100"), "x")
+        assert not kernel_member(M, bad)
+        for cap in (1, 2, 3):
+            assert not fiber_connectivity(M, gens + [bad], cap)
+        assert fiber_connectivity(M, gens, 3)
+
+    def test_unknown_key_rejected(self):
+        t = parse_newick("((1,2),(3,4));")
+        M = build_matrix(t)
+        gens, _ = construct_generators(t)
+        bad = MarkedBinomial(("000", "zzz"), ("000", "011"), "x")
+        with pytest.raises(TreeError, match="unknown column key 'zzz'"):
+            fiber_connectivity(M, gens + [bad], 2)
+
+    def test_empty_cap_rejected(self):
+        # a cap below 1 would check nothing
+        M = build_matrix(parse_newick(FIG_TREE))
+        for cap in (0, -1):
+            with pytest.raises(TreeError, match="degree cap"):
+                fiber_connectivity(M, [], cap)
+
+    def test_non_binary_matrix_rejected(self):
+        M = ToricMatrix(("a", "b"), ((1, 1), (2, 0)))
+        with pytest.raises(TreeError, match="0/1"):
+            fiber_connectivity(M, [], 2)
+
 
 class TestReports:
     def test_reducedness_reported(self):
@@ -342,15 +385,45 @@ class TestIndexedAgainstScan:
                 assert reducedness_report(gens) == reducedness_by_scan(gens), t.to_newick()
 
     def test_fiber_verdicts_on_prefixes(self):
-        for n in range(2, 6):
+        # prefixes and seeded random subsets of the generators, caps 1-4 up
+        # to five leaves and cap 3 at six
+        rng = random.Random(13)
+        verdicts = Counter()
+        for n in range(2, 7):
+            caps = (3,) if n == 6 else (1, 2, 3, 4)
             for t in enumerate_topologies(n):
                 M = build_matrix(t)
                 gens, _ = construct_generators(t)
-                for k in sorted({0, 1, 2, len(gens) // 2, len(gens) - 1, len(gens)}):
-                    sub = gens[:k]
-                    assert fiber_connectivity(M, sub, 3) == fiber_connectivity_by_scan(
-                        M, sub, 3
-                    ), (t.to_newick(), k)
+                ks = sorted({0, 1, 2, len(gens) // 2, len(gens) - 1, len(gens)})
+                subsets = [gens[:k] for k in ks]
+                subsets += [rng.sample(gens, rng.randint(0, len(gens))) for _ in range(4)]
+                for sub in subsets:
+                    for cap in caps:
+                        got = fiber_connectivity(M, sub, cap)
+                        assert got == fiber_connectivity_by_scan(M, sub, cap), (
+                            t.to_newick(),
+                            len(sub),
+                            cap,
+                        )
+                        verdicts[got] += 1
+        assert verdicts[True] and verdicts[False]
+
+    def test_fiber_verdicts_past_degree_two(self):
+        # On a CFN-MC matrix every disconnection shows by degree 2, as the
+        # ideal is generated by quadrics.  The edge matrix of the bowtie
+        # graph (triangles 123 and 345 sharing vertex 3) has a cubic
+        # generator, so with no moves it is connected up to degree 2 and
+        # disconnected at 3 and 4.
+        keys = ("12", "23", "31", "34", "45", "53")
+        rows = [(1,) * len(keys)]
+        rows += [tuple(int(str(v) in k) for k in keys) for v in range(1, 6)]
+        M = ToricMatrix(keys, tuple(rows))
+        cubic = MarkedBinomial(("12", "34", "53"), ("23", "31", "45"), "x")
+        assert kernel_member(M, cubic)
+        for gens, expected in (([], [True, True, False, False]), ([cubic], [True] * 4)):
+            for cap, want in enumerate(expected, start=1):
+                assert fiber_connectivity(M, gens, cap) == want, (gens, cap)
+                assert fiber_connectivity_by_scan(M, gens, cap) == want, (gens, cap)
 
 
 FAILING_EIGHT_LEAF = ["(1,((2,3),(4,((5,6),(7,8)))));", "(((1,2),(3,4)),((5,6),(7,8)));"]
