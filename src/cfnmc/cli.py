@@ -47,14 +47,17 @@ def _emit(args, payload: dict) -> None:
 def _dumps(value, pad: str = "\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) for str-keyed dicts, with
     pad the newline and indent of value's own line.  The indent makes json
-    use its pure-Python encoder; this writes the same text with only scalars
-    going to json."""
+    use its pure-Python encoder; this writes the same text with only
+    non-string scalars going to json.  Strings are encoded in place: a
+    dict's string values inline, and a list of strings only in one join."""
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = pad + "  "
         items = (
-            encode_basestring_ascii(k) + ": " + _dumps(v, inner)
+            encode_basestring_ascii(k)
+            + ": "
+            + (encode_basestring_ascii(v) if isinstance(v, str) else _dumps(v, inner))
             for k, v in sorted(value.items())
         )
         return "{" + inner + ("," + inner).join(items) + pad + "}"
@@ -62,7 +65,10 @@ def _dumps(value, pad: str = "\n") -> str:
         if not value:
             return "[]"
         inner = pad + "  "
-        items = (_dumps(v, inner) for v in value)
+        if all(isinstance(v, str) for v in value):
+            items = map(encode_basestring_ascii, value)
+        else:
+            items = (_dumps(v, inner) for v in value)
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(value, str):
         return encode_basestring_ascii(value)

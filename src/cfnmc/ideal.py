@@ -24,9 +24,11 @@ coprime (Buchberger's first criterion); any other input reduces every pair.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from operator import attrgetter
 
 from .paths import enumerate_topsets, topset_key, traversability
 from .tree import RootedBinaryTree, TreeError, _split_at, _subtree, _tfp_node, is_cluster_tree
@@ -59,7 +61,7 @@ class ToricMatrix:
         return {"columns": list(self.keys), "rows": [list(r) for r in self.rows]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkedBinomial:
     """plus - minus with plus the marked initial term; terms are sorted
     tuples of column keys."""
@@ -88,7 +90,9 @@ class LiftableOrder:
     """Column weights realizing the constructed term order, plus the block
     tag of each column (augmentable for cluster trees, traversable
     otherwise).  Higher weight = bigger in the order; remaining ties break
-    lexicographically on sorted key tuples.
+    lexicographically on sorted key tuples.  Between two monomials of one
+    degree, such as the sides of a quadric, the marking is thus decided by
+    the weight sum and then the sorted key tuple.
 
     compare is a term order on monomials for any weights: it ranks by
     degree first, so every monomial has finitely many below it, and each of
@@ -140,6 +144,18 @@ def _build(tree: RootedBinaryTree, liftable: bool):
     the term order: weight rows stacked positionally by _collapse.  liftable
     marks the inner tree of a cluster tree, whose order ranks the
     traversability blocks first and root-augmentable minors first.
+
+    No raw generator is trivial or repeats another up to sign and the order
+    of its factors, and no term is a square, so nothing is deduplicated.
+    By induction on the recursion.  At a split node, the two sides of a
+    lift differ when restricted to the half whose generator it lifts and
+    agree on the other half, and the two sides of a minor agree on both;
+    so the three families are disjoint, and within one the restrictions
+    give back the lifted generator (or the minor's two pairs), after which
+    squarefree terms give back the lifting pair.  At a cluster, stripping
+    the root bit sends a Root lift to its inner generator and a Swap to a
+    trivial binomial, and squarefree terms make the root marks of a Root
+    lift readable from its two sides.
     """
     classes = enumerate_topsets(tree)
     if tree.n_leaves <= 3:
@@ -176,7 +192,7 @@ def _build(tree: RootedBinaryTree, liftable: bool):
             {c: 1 if c & rho else 0 for c in classes},
             {c: w_inner[c & inner_mask] if c & rho else 0 for c in classes},
         ]
-        return classes, _dedupe(out), _collapse(rows, classes)
+        return classes, out, _collapse(rows, classes)
 
     # split node: the fiber product of the two halves sharing v.
     t1, t2 = _split_at(tree, v)
@@ -205,23 +221,23 @@ def _build(tree: RootedBinaryTree, liftable: bool):
             for c in classes
         }
         rows.insert(0, tag)
-    return classes, _dedupe(out), _collapse(rows, classes)
+    return classes, out, _collapse(rows, classes)
 
 
 def _lift(gens, other_classes, bit) -> list:
     """Lifts of one half's generators by pairs of the other half's top-sets
     that agree with them on the shared node."""
+    block = {k: [c for c in other_classes if c & bit == k] for k in (0, bit)}
     lifted = []
     for (p1, p2), (q1, q2), _prov in gens:
         if (p1 ^ q1) & bit:
             q1, q2 = q2, q1
-        for r1 in other_classes:
-            if (r1 ^ p1) & bit:
-                continue
-            for r2 in other_classes:
-                if (r2 ^ p2) & bit:
-                    continue
-                lifted.append(((p1 | r1, p2 | r2), (q1 | r1, q2 | r2), "Lift"))
+        rs2 = block[p2 & bit]
+        lifted += [
+            ((p1 | r1, p2 | r2), (q1 | r1, q2 | r2), "Lift")
+            for r1 in block[p1 & bit]
+            for r2 in rs2
+        ]
     return lifted
 
 
@@ -248,22 +264,6 @@ def _interior_mask(tree) -> int:
     return sum(1 << v for v in tree.interior_nodes)
 
 
-def _dedupe(raw) -> list:
-    seen = set()
-    out = []
-    for plus, minus, prov in raw:
-        mono_p = tuple(sorted(plus))
-        mono_m = tuple(sorted(minus))
-        if mono_p == mono_m:
-            continue
-        key = frozenset((mono_p, mono_m))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((plus, minus, prov))
-    return out
-
-
 def _collapse(rows, classes):
     w = {c: 0 for c in classes}
     for row in rows:
@@ -282,7 +282,11 @@ def construct_generators(tree: RootedBinaryTree):
 
     Returns (generators, order).  Every generator is a kernel member of
     degree 2; the markings come from the constructed liftable order and are
-    certified separately by groebner_verify.
+    certified separately by groebner_verify.  A quadric's marked side is
+    the one with the larger weight sum, ties broken by the larger sorted
+    key pair: for two monomials of degree 2 this is the order
+    LiftableOrder.compare defines, decided here on the masks' weights
+    without a call per generator.
     """
     if tree.n_leaves < 2:
         raise TreeError("need n >= 2")
@@ -300,13 +304,14 @@ def construct_generators(tree: RootedBinaryTree):
     order = LiftableOrder({key_of[c]: weights[c] for c in classes}, tag, kind)
 
     gens = []
-    for plus_pair, minus_pair, prov in raw:
-        plus = tuple(sorted(key_of[c] for c in plus_pair))
-        minus = tuple(sorted(key_of[c] for c in minus_pair))
-        if order.compare(plus, minus) < 0:
+    for (p1, p2), (q1, q2), prov in raw:
+        a, b, c, d = key_of[p1], key_of[p2], key_of[q1], key_of[q2]
+        plus = (weights[p1] + weights[p2], (a, b) if a <= b else (b, a))
+        minus = (weights[q1] + weights[q2], (c, d) if c <= d else (d, c))
+        if plus < minus:
             plus, minus = minus, plus
-        gens.append(MarkedBinomial(plus, minus, prov))
-    gens.sort(key=lambda b: (b.plus, b.minus))
+        gens.append(MarkedBinomial(plus[1], minus[1], prov))
+    gens.sort(key=attrgetter("plus", "minus"))
     return gens, order
 
 
@@ -443,13 +448,22 @@ def reducedness_report(gens) -> dict:
     """Whether the marked basis is reduced: no term of any generator may be
     divisible by another generator's initial term.  Reported, not asserted;
     the construction makes no reducedness claim.  ``violations`` counts the
-    (term, other generator) pairs at fault."""
-    index = _InitialIndex(ini for ini, _ in _marked_rules(gens))
+    (term, other position in gens) pairs at fault.
+
+    The initials are counted once by monomial; each term then looks up its
+    distinct sub-multisets of the degrees the initials have (just the term
+    itself at its own degree), and a generator's own initial is left out
+    of the counts for its terms."""
+    rules = _marked_rules(gens)
+    count = Counter(ini for ini, _ in rules)
+    degrees = {len(ini) for ini in count}
     violations = 0
-    for g in gens:
-        for term in (g.plus, g.minus):
-            for _, positions in index.dividing(tuple(sorted(term))):
-                violations += sum(gens[j] is not g for j in positions)
+    for ini, tail in rules:
+        for term in (ini, tail):
+            for d in degrees:
+                subs = (term,) if d == len(term) else set(combinations(term, d))
+                for sub in subs:
+                    violations += count.get(sub, 0) - (sub == ini)
     return {"reduced": not violations, "violations": violations}
 
 

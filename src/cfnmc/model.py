@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
-from .paths import even_labelings, labeling_edges, topset_key, topset_of_edges
+from .paths import labeling_edges, topset_key, topset_of_edges
 from .tree import RootedBinaryTree, TreeError
 
 
@@ -91,7 +92,8 @@ def leaf_distribution(tree: RootedBinaryTree, params: ClockParams) -> LeafDistri
     in which each node carries, for every assignment of the leaves below it,
     (P(leaves below | 0), P(leaves below | 1)).  An assignment is a bitmask
     with leaf i at bit n-1-i, so a root mask is the index of its labeling in
-    _all_labelings order.
+    _all_labelings order, and the probabilities are read off the root's
+    table in that order.
     """
     trans = _transitions(tree, params)
     n = tree.n_leaves
@@ -114,15 +116,13 @@ def leaf_distribution(tree: RootedBinaryTree, params: ClockParams) -> LeafDistri
             }
         below[v] = table
     root = below[tree.root]
-    probs = {}
-    for mask, assignment in enumerate(_all_labelings(n)):
-        b0, b1 = root[mask]
-        probs[assignment] = 0.5 * (b0 + b1)
-    return LeafDistribution(probs)
+    values = [0.5 * (b0 + b1) for b0, b1 in (root[m] for m in range(1 << n))]
+    return LeafDistribution(dict(zip(_all_labelings(n), values)))
 
 
-def _all_labelings(n: int) -> list:
-    return list(product((0, 1), repeat=n))
+@cache
+def _all_labelings(n: int) -> tuple:
+    return tuple(product((0, 1), repeat=n))
 
 
 def fourier_transform(
@@ -131,46 +131,58 @@ def fourier_transform(
     """Sign transform q(g) = sum_j (-1)^(g.j) p(j); odd-sum entries must
     vanish and labelings sharing a top-set must agree, within tol, before
     collapsing onto the class coordinates."""
-    return _fourier_transform(tree, dist, tol, _class_keys(tree))
-
-
-def _class_keys(tree: RootedBinaryTree) -> dict:
-    """The top-set key of each even labeling's path system."""
-    return {
-        lab: topset_key(tree, topset_of_edges(tree, labeling_edges(tree, lab)))
-        for lab in even_labelings(tree.n_leaves)
-    }
-
-
-def _fourier_transform(
-    tree: RootedBinaryTree, dist: LeafDistribution, tol: float, class_keys: dict
-) -> FourierPoint:
     labelings = _all_labelings(tree.n_leaves)
-    values = [dist.probs[lab] for lab in labelings]
-    # fast in-place sign transform
-    h = 1
-    while h < len(values):
-        for i in range(0, len(values), h * 2):
-            for j in range(i, i + h):
-                a, b = values[j], values[j + h]
-                values[j], values[j + h] = a + b, a - b
-        h *= 2
-    qhat = dict(zip(labelings, values))
-    for lab, val in qhat.items():
-        if sum(lab) % 2 == 1 and abs(val) > tol:
-            raise TreeError(f"odd-parity transform entry {lab} = {val} exceeds tol")
+    qhat = _sign_transform([dist.probs[lab] for lab in labelings])
+    rcoords = _class_coordinates(qhat, _class_table(tree), tol)
+    return FourierPoint(dict(zip(labelings, qhat)), rcoords)
+
+
+def _sign_transform(values: list) -> list:
+    """The sign (Walsh-Hadamard) transform of a list in mask order, in
+    constant geometry: each of the n stages adds and subtracts neighbouring
+    pairs and writes the sums before the differences.  A stage works on the
+    lowest bit of the index and moves it to the top, so after n stages the
+    result is in mask order, and each entry sees the same float operations
+    on the same operands as in the in-place butterflies."""
+    for _ in range(len(values).bit_length() - 1):
+        evens, odds = values[0::2], values[1::2]
+        values = [a + b for a, b in zip(evens, odds)] + [
+            a - b for a, b in zip(evens, odds)
+        ]
+    return values
+
+
+def _class_table(tree: RootedBinaryTree) -> tuple:
+    """(odd, even) for a tree: the mask-order indices of the odd labelings,
+    and (index, top-set key of its path system) for each even labeling."""
+    labelings = _all_labelings(tree.n_leaves)
+    odd = [i for i, lab in enumerate(labelings) if sum(lab) % 2]
+    even = [
+        (i, topset_key(tree, topset_of_edges(tree, labeling_edges(tree, lab))))
+        for i, lab in enumerate(labelings)
+        if not sum(lab) % 2
+    ]
+    return odd, even
+
+
+def _class_coordinates(qhat: list, table: tuple, tol: float) -> dict:
+    """The class coordinates of a transformed point in mask order, after
+    checking that its odd entries vanish and each class agrees within tol."""
+    odd, even = table
+    for i in odd:
+        if abs(qhat[i]) > tol:
+            lab = _all_labelings(len(qhat).bit_length() - 1)[i]
+            raise TreeError(f"odd-parity transform entry {lab} = {qhat[i]} exceeds tol")
     rcoords = {}
-    for lab, val in qhat.items():
-        if sum(lab) % 2 == 1:
-            continue
-        key = class_keys[lab]
+    for i, key in even:
+        val = qhat[i]
         if key in rcoords and abs(rcoords[key] - val) > tol:
             raise TreeError(
                 f"labelings with equal top-set disagree: {key}: "
                 f"{rcoords[key]} vs {val}"
             )
         rcoords.setdefault(key, val)
-    return FourierPoint(qhat, rcoords)
+    return rcoords
 
 
 def invariant_check(
@@ -183,12 +195,13 @@ def invariant_check(
     """Evaluate each binomial on the class coordinates of random clock
     parameter draws; all residuals must stay below tol."""
     rng = random.Random(seed)
-    class_keys = _class_keys(tree)  # depends on the tree only
+    table = _class_table(tree)  # depends on the tree only
     per_binomial = [0.0] * len(gens)
     for _ in range(samples):
         params = sample_clock_params(tree, rng)
-        dist = leaf_distribution(tree, params)
-        point = _fourier_transform(tree, dist, tol, class_keys).rcoords
+        # leaf_distribution fills its dict in mask order
+        qhat = _sign_transform(list(leaf_distribution(tree, params).probs.values()))
+        point = _class_coordinates(qhat, table, tol)
         for i, g in enumerate(gens):
             plus = 1.0
             for k in g.plus:

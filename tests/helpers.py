@@ -16,14 +16,21 @@ from cfnmc.ehrhart import _blocked
 from cfnmc.ideal import (
     _REDUCTION_CAP,
     MarkedBinomial,
+    _build,
     _InitialIndex,
     _marked_rules,
     _normal_form,
     _ReductionDiverged,
+    construct_generators,
     kernel_member,
 )
 from cfnmc.model import LeafDistribution, _transitions
-from cfnmc.paths import classify_maintaining, enumerate_topsets, topset_bits
+from cfnmc.paths import (
+    classify_maintaining,
+    enumerate_topsets,
+    topset_bits,
+    topset_key,
+)
 from cfnmc.polytope import rti_coordinates
 from cfnmc.tree import (
     RootedBinaryTree,
@@ -355,6 +362,21 @@ def leaf_distribution_by_assignment(tree, params) -> LeafDistribution:
     return LeafDistribution(probs)
 
 
+def sign_transform_in_place(values: list) -> list:
+    """The sign transform by the in-place butterflies: for h = 1, 2, 4, ...
+    each pair (j, j + h) becomes (a + b, a - b).  The oracle the constant
+    geometry of model._sign_transform must equal bit for bit."""
+    values = list(values)
+    h = 1
+    while h < len(values):
+        for i in range(0, len(values), h * 2):
+            for j in range(i, i + h):
+                a, b = values[j], values[j + h]
+                values[j], values[j + h] = a + b, a - b
+        h *= 2
+    return values
+
+
 def class_monomial_value(tree, params, key: str) -> float:
     """Independent evaluation of a class coordinate as the product of
     exp(-4 * alpha * height) over the marked nodes (the per-node parameters
@@ -383,6 +405,25 @@ def quadratic_kernel_oracle(matrix) -> list:
             out.append(MarkedBinomial(hi, lo, "oracle"))
     out.sort(key=lambda b: (b.plus, b.minus))
     return out
+
+
+def construct_generators_by_compare(tree) -> list:
+    """The generators of construct_generators with each raw quadric's
+    marking decided by a call of LiftableOrder.compare on its sorted key
+    tuples, under the order construct_generators exports; the oracle for
+    the marking on masks and weights."""
+    _, order = construct_generators(tree)
+    classes, raw, _ = _build(tree, False)
+    key_of = {c: topset_key(tree, c) for c in classes}
+    gens = []
+    for plus_pair, minus_pair, prov in raw:
+        plus = tuple(sorted(key_of[c] for c in plus_pair))
+        minus = tuple(sorted(key_of[c] for c in minus_pair))
+        if order.compare(plus, minus) < 0:
+            plus, minus = minus, plus
+        gens.append(MarkedBinomial(plus, minus, prov))
+    gens.sort(key=lambda b: (b.plus, b.minus))
+    return gens
 
 
 def reduces_to_zero(binomial, gens) -> bool:
@@ -463,22 +504,28 @@ def groebner_verify_by_scan(matrix, gens) -> bool:
 
 
 def reducedness_by_scan(gens) -> dict:
-    """reducedness_report by testing every term against every other
-    generator's initial, O(g^2)."""
-    initials = [(g, ini) for g, (ini, _) in zip(gens, _rules(gens))]
+    """reducedness_report by testing every term against the initial of
+    every other position in gens, O(g^2)."""
+    initials = [ini for ini, _ in _rules(gens)]
     violations = 0
-    for g in gens:
+    for i, g in enumerate(gens):
         for term in (g.plus, g.minus):
             cm = Counter(term)
             violations += sum(
-                other is not g and _divides(ini, cm) for other, ini in initials
+                j != i and _divides(ini, cm) for j, ini in enumerate(initials)
             )
     return {"reduced": not violations, "violations": violations}
 
 
 def fiber_connectivity_by_scan(matrix, gens, degree_cap: int) -> bool:
     """fiber_connectivity with every move tested, both ways, on every
-    monomial of every fiber."""
+    monomial of every fiber.  A move that leaves its fiber makes the verdict
+    False, as in fiber_connectivity."""
+    for g in gens:
+        if len(g.plus) != len(g.minus) or matrix.monomial_sum(
+            g.plus
+        ) != matrix.monomial_sum(g.minus):
+            return False
     moves = [(Counter(g.plus), Counter(g.minus)) for g in gens]
     for degree in range(1, degree_cap + 1):
         fibers = {}

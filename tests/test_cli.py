@@ -125,6 +125,14 @@ class TestDeterminism:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.slow
+    def test_gens_output_pinned_at_nine(self, capsys):
+        # 46 shapes, 44,898 generators, 11 MB of JSON
+        code, out, _ = run(capsys, "gens", "--leaves", "9", "--json")
+        assert code == 0
+        digest = "27cb4d7430988dacbf6d2a8227d7f35b2259ce46ce8bb29ee5348406341ee14a"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "n, digest",
         [
@@ -194,6 +202,32 @@ class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     def test_matches_json_dumps(self, value):
         assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @given(st.lists(st.text(), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_string_lists_and_tuples(self, strings):
+        # non-ASCII and empty strings come from st.text()
+        for value in (strings, tuple(strings), {"k": strings}, [strings, [strings]]):
+            assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @given(st.dictionaries(st.text(max_size=4), st.text(), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_dicts_of_strings(self, value):
+        for nested in (value, {"d": value}, [value, value]):
+            assert _dumps(nested) == json.dumps(nested, sort_keys=True, indent=2)
+
+    def test_fixed_string_cases(self):
+        cases = [
+            ["", "\u00e9", "\u2603 snow", "a\"b\\c\n", "\U0001f600"],
+            ("plus", "", "\u00ff"),
+            {"initial": "plus", "minus": ["0010", "0001"], "x": "", "y": "\u00e9"},
+            ["a", 1, "b"],
+            [1, "a"],
+            ["a", None, True, 2.5, ["b"], {"c": "d"}, ()],
+            {"a": ["x", 2], "b": [], "c": {}, "d": "", "e": ("t",)},
+        ]
+        for value in cases:
+            assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2), value
 
     def test_tuples_and_non_str_keys(self, capsys):
         # tuples print as lists

@@ -23,6 +23,7 @@ from cfnmc.tree import TreeError, enumerate_topologies, is_cluster_tree, parse_n
 
 from helpers import (
     FIG_TREE,
+    construct_generators_by_compare,
     fiber_connectivity_by_scan,
     groebner_verify_by_scan,
     quadratic_kernel_oracle,
@@ -148,6 +149,22 @@ class TestConstruction:
                 (b.plus, b.minus) for b in oracle
             )
 
+    @pytest.mark.parametrize(
+        "n", [*range(2, 9), pytest.param(9, marks=pytest.mark.slow)]
+    )
+    def test_markings_and_no_repeats(self, n):
+        # markings decided on mask weights and key pairs equal one
+        # LiftableOrder.compare call per generator (plus, minus, provenance
+        # and list order); and with no dedupe pass, every generator is
+        # nontrivial, squarefree on both sides and unique up to sign
+        for t in enumerate_topologies(n):
+            gens, _ = construct_generators(t)
+            assert gens == construct_generators_by_compare(t), t.to_newick()
+            assert len(norm((g.plus, g.minus) for g in gens)) == len(gens)
+            for g in gens:
+                assert g.plus != g.minus, (t.to_newick(), g)
+                assert len(set(g.plus)) == len(set(g.minus)) == 2, (t.to_newick(), g)
+
     def test_small_trees_empty(self):
         for text in ["(1,2);", "((1,2),3);"]:
             gens, _ = construct_generators(parse_newick(text))
@@ -246,7 +263,9 @@ class TestFiberConnectivity:
         assert not kernel_member(M, bad)
         for cap in (1, 2, 3):
             assert not fiber_connectivity(M, gens + [bad], cap)
+            assert not fiber_connectivity_by_scan(M, gens + [bad], cap)
         assert fiber_connectivity(M, gens, 3)
+        assert fiber_connectivity_by_scan(M, gens, 3)
 
     def test_unknown_key_rejected(self):
         t = parse_newick("((1,2),(3,4));")
@@ -383,6 +402,35 @@ class TestIndexedAgainstScan:
             for t in enumerate_topologies(n):
                 gens, _ = construct_generators(t)
                 assert reducedness_report(gens) == reducedness_by_scan(gens), t.to_newick()
+
+    def test_reducedness_counts_on_unconstructed_inputs(self):
+        # inputs the construction never makes: a cubic beside the quadrics
+        # (its initial x*x*y holds the quadric initial x*y twice among its
+        # three sub-pairs), two generators sharing an initial, a square
+        # initial, a tail its own initial divides, one generator listed
+        # twice, no generator
+        t = parse_newick(FIG_TREE)
+        gens, _ = construct_generators(t)
+        g = gens[0]
+        cubic = MarkedBinomial((g.plus[0], *g.plus), (g.plus[0], *g.minus), "x")
+        shared = MarkedBinomial(g.plus, gens[1].minus, "x")
+        square = MarkedBinomial((g.minus[0], g.minus[0]), g.plus, "x")
+        own = MarkedBinomial(g.plus, (*g.plus, g.minus[0]), "x")
+        cases = [
+            [],
+            gens + [cubic],
+            gens + [shared],
+            gens + [square],
+            gens + [own],
+            [g, g],
+            gens + [cubic, shared, square, own],
+        ]
+        counts = []
+        for case in cases:
+            rep = reducedness_report(case)
+            assert rep == reducedness_by_scan(case), case
+            counts.append(rep["violations"])
+        assert counts[0] == 0 and all(counts[1:]), counts
 
     def test_fiber_verdicts_on_prefixes(self):
         # prefixes and seeded random subsets of the generators, caps 1-4 up

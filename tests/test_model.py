@@ -6,6 +6,8 @@ import pytest
 from cfnmc.ideal import MarkedBinomial, construct_generators
 from cfnmc.model import (
     ClockParams,
+    LeafDistribution,
+    _sign_transform,
     fourier_transform,
     invariant_check,
     leaf_distribution,
@@ -19,6 +21,7 @@ from helpers import (
     class_monomial_value,
     leaf_distribution_bruteforce,
     leaf_distribution_by_assignment,
+    sign_transform_in_place,
 )
 
 PARAM_TREE = "(((1,2),(3,4)),(5,6));"
@@ -131,6 +134,36 @@ class TestFourier:
             assert class_monomial_value(t, p, "0" * 4) == 1.0
             fp = fourier_transform(t, leaf_distribution(t, p))
             assert abs(fp.rcoords["0" * 4] - 1.0) < 1e-12
+
+    def test_constant_geometry_equals_in_place_butterflies(self):
+        # bit-equal, on random floats and on leaf distributions
+        rng = random.Random(12)
+        for n in range(0, 9):
+            values = [rng.uniform(-1.0, 1.0) for _ in range(1 << n)]
+            assert _sign_transform(values) == sign_transform_in_place(values)
+        for n in range(2, 8):
+            for t in enumerate_topologies(n):
+                dist = leaf_distribution(t, sample_clock_params(t, rng))
+                values = list(dist.probs.values())
+                got = fourier_transform(t, dist).qhat
+                assert list(got) == list(dist.probs)
+                assert list(got.values()) == sign_transform_in_place(values)
+
+    def test_transform_errors_name_the_labeling_or_class(self):
+        t = parse_newick("((1,2),3);")
+        dist = leaf_distribution(t, sample_clock_params(t, random.Random(1)))
+        skewed = dict(dist.probs)
+        skewed[(0, 1, 1)] += 0.25  # odd entries pick up +-0.25
+        with pytest.raises(TreeError, match=r"odd-parity transform entry \(0, 0, 1\)"):
+            fourier_transform(t, LeafDistribution(skewed))
+        # the transform is its own inverse up to 2^n, exactly on dyadic
+        # values: a point whose even labelings 011 and 101 (one top-set,
+        # the root) disagree
+        qhat = [1.0, 0.0, 0.0, 0.5, 0.0, 0.75, 0.25, 0.0]
+        probs = [v / 8 for v in sign_transform_in_place(qhat)]
+        split = LeafDistribution(dict(zip(sorted(dist.probs), probs)))
+        with pytest.raises(TreeError, match="equal top-set disagree: 10: 0.5 vs 0.75"):
+            fourier_transform(t, split)
 
     def test_double_transform(self):
         t = parse_newick(FIG_TREE)
