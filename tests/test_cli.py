@@ -171,15 +171,29 @@ class TestDeterminism:
                 ("markov-check", "--leaves", "7", "--degree", "3"),
                 "86c29f9a7929fea446ddcf0fbb622e459a8ee7639d8fd92c57489448b53bf060",
             ),
+            (
+                ("groebner-check", "--leaves", "7"),
+                "c66b3868f450d9c10645b461a908c4f7cf0ad0fc32b17cdd950a0ad294686dd3",
+            ),
         ],
     )
     def test_check_output_pinned(self, capsys, argv, digest):
         # Pins the per-move dilate counts and audits, the float bits of
-        # every max_residual of the seeded model check, and the fiber
-        # walks' report.
+        # every max_residual of the seeded model check, the fiber walks'
+        # report and the certified generator counts.
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_groebner_check_eight_leaf_failure(self, capsys):
+        # the first 8-leaf shape whose constructed markings are not a
+        # Groebner basis, in shape order
+        code, out, err = run(capsys, "groebner-check", "--leaves", "8")
+        assert code == 1 and out == ""
+        assert err == (
+            'FAIL {"groebner": false, "squarefree": true, '
+            '"tree": "(1,((2,3),(4,((5,6),(7,8)))));"}\n'
+        )
 
 
 JSON_SCALARS = (
