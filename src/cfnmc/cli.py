@@ -221,12 +221,9 @@ def cmd_groebner_check(args) -> dict:
     for tree in _trees_for(args):
         M = id_.build_matrix(tree)
         gens, order = id_.construct_generators(tree)
-        ok = id_.groebner_verify(M, gens, order)
-        sq = all(g.initial_squarefree() for g in gens)
-        if not (ok and sq):
-            raise CheckFailure(
-                {"tree": tree.to_newick(), "groebner": ok, "squarefree": sq}
-            )
+        if not id_.groebner_verify(M, gens, order, eh.normalized_volume(pt.build_RT(tree))):
+            sq = all(g.initial_squarefree() for g in gens)
+            raise CheckFailure({"tree": tree.to_newick(), "groebner": False, "squarefree": sq})
         out.append(
             {"tree": tree.to_newick(), "generators": len(gens), "groebner": True}
         )
@@ -394,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.set_defaults(fn=cmd_gens)
 
-    s = sub.add_parser("groebner-check", help="marked S-pair certification")
+    s = sub.add_parser("groebner-check", help="Groebner basis certified by counting facets")
     _add_common(s)
     s.set_defaults(fn=cmd_groebner_check)
 

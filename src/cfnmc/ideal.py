@@ -16,10 +16,9 @@ Each tree also carries a term order, realized as one big-integer weight per
 column assembled from positional stacking of the recursion's weight rows
 (block tag, pulled-back subtree weights, minor tie-breaks), with a final
 lexicographic tie-break on sorted column keys.  Gröbner correctness is then
-certified by marked S-pair reduction, not by trusting the construction.  Given
-the exported order, and only once every marking is checked to be a leading
-term under it, the certification skips S-pairs whose initial terms are
-coprime (Buchberger's first criterion); any other input reduces every pair.
+certified, not trusted from the construction, by counting the facets of the
+complex of the marked initials; marked S-pair reduction stays in the tests as
+the oracle for that certificate.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
+from math import comb
 from operator import attrgetter
 
 from .paths import enumerate_topsets, topset_key, traversability
@@ -50,9 +50,6 @@ class ToricMatrix:
     def _columns(self) -> dict:
         return dict(zip(self.keys, zip(*self.rows)))
 
-    def column(self, key: str) -> tuple:
-        return self._columns[key]
-
     def monomial_sum(self, keys) -> tuple:
         cols = [self._columns[k] for k in keys]
         return tuple(map(sum, zip(*cols))) if cols else (0,) * len(self.rows)
@@ -69,9 +66,6 @@ class MarkedBinomial:
     plus: tuple
     minus: tuple
     provenance: str
-
-    def degree(self) -> int:
-        return len(self.plus)
 
     def initial_squarefree(self) -> bool:
         return len(set(self.plus)) == len(self.plus)
@@ -318,130 +312,77 @@ def construct_generators(tree: RootedBinaryTree):
 # -- Gröbner certification ----------------------------------------------------------
 
 
-_REDUCTION_CAP = 10_000
+def groebner_verify(matrix: ToricMatrix, gens, order: LiftableOrder, volume: int) -> bool:
+    """Whether gens, as marked, are a Gröbner basis of the toric ideal I_A of
+    matrix, given the normalized volume of the polytope of its columns.
+
+    Kernel quadrics with squarefree initials, each the leading term under
+    order, put the ideal M of the initials inside in(I_A); M = in(I_A)
+    exactly when the clique complex of the column pairs that are not
+    initials has volume facets, all of len(matrix.rows) columns, and the
+    first has determinant +-1, as then all or none do (Sturmfels, Gröbner
+    Bases and Convex Polytopes, ch. 8)."""
+    if not all(
+        kernel_member(matrix, g) and len(g.plus) == len(g.minus) == 2 and g.initial_squarefree()
+        for g in gens
+    ) or not marking_consistent_with_weights(gens, order):
+        return False
+    index = dict(zip(matrix.keys, range(matrix.n_cols)))
+    adj = [((1 << matrix.n_cols) - 1) ^ (1 << i) for i in range(matrix.n_cols)]
+    for a, b in (g.plus for g in gens):
+        adj[index[a]] &= ~(1 << index[b])
+        adj[index[b]] &= ~(1 << index[a])
+    facets = []
+    for clique in _maximal_cliques(adj):
+        if clique.bit_count() != len(matrix.rows):
+            return False
+        facets.append(clique)
+    det = _determinant([[x for i, x in enumerate(r) if facets[0] >> i & 1] for r in matrix.rows])
+    return len(facets) == volume and abs(det) == 1
 
 
-class _InitialIndex:
-    """Positions of marked binomials by initial monomial (a sorted key
-    tuple), ascending.  The initials dividing a monomial are found by looking
-    up its distinct sub-multisets of the degrees present, at most six for
-    the degree-4 S-pair terms of quadrics, instead of testing every rule."""
-
-    def __init__(self, initials):
-        self.positions = {}
-        for i, ini in enumerate(initials):
-            self.positions.setdefault(tuple(sorted(ini)), []).append(i)
-        self.degrees = sorted({len(k) for k in self.positions})
-
-    def dividing(self, mono: tuple):
-        """(initial, positions) for each distinct initial dividing the
-        sorted monomial mono."""
-        for d in self.degrees:
-            if d > len(mono):
-                break
-            for sub in dict.fromkeys(combinations(mono, d)):
-                positions = self.positions.get(sub)
-                if positions is not None:
-                    yield sub, positions
-
-    def lowest(self, mono: tuple):
-        """The lowest position whose initial divides mono, or None."""
-        return min((pos[0] for _, pos in self.dividing(mono)), default=None)
+def _maximal_cliques(adj):
+    """Bitsets of the maximal cliques of the graph where vertex i has the
+    neighbours adj[i]: Bron-Kerbosch, branching only on the candidates that
+    are not neighbours of a pivot with the most neighbours among them."""
+    stack = [(0, (1 << len(adj)) - 1, 0)]
+    while stack:
+        clique, cand, done = stack.pop()
+        if not cand | done:
+            yield clique
+        rest, pivot, most = cand | done, 0, -1
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if (cand & adj[u]).bit_count() > most:
+                pivot, most = u, (cand & adj[u]).bit_count()
+        branch = cand & ~adj[pivot]
+        while branch:
+            v = (branch & -branch).bit_length() - 1
+            branch &= branch - 1
+            stack.append((clique | 1 << v, cand & adj[v], done & adj[v]))
+            cand ^= 1 << v
+            done |= 1 << v
 
 
-def _exchange(mono: tuple, out: tuple, into: tuple) -> tuple:
-    """mono / out * into as a sorted key tuple; out must divide mono."""
-    rest = list(mono)
-    for k in out:
-        rest.remove(k)
-    return tuple(sorted(rest + list(into)))
-
-
-def _cofactor(a: tuple, b: tuple) -> list:
-    """lcm(a, b) / a, that is b / gcd(a, b), as a list of keys."""
-    rest = list(b)
-    for k in a:
-        if k in rest:
-            rest.remove(k)
-    return rest
+def _determinant(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination, whose
+    divisions are all exact."""
+    a, sign, prev = [list(r) for r in rows], 1, 1
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return 0
+        a[k], a[p], sign = a[p], a[k], sign if p == k else -sign
+        for i in range(k + 1, len(a)):
+            a[i] = [(x * a[k][k] - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
+        prev = a[k][k]
+    return sign * prev
 
 
 def _marked_rules(gens) -> list:
     """(initial, tail) of every generator as sorted key tuples."""
     return [(tuple(sorted(g.plus)), tuple(sorted(g.minus))) for g in gens]
-
-
-def _normal_form(mono: tuple, rules, index: _InitialIndex) -> tuple:
-    """Marked rewriting of the sorted monomial mono, always by the lowest
-    rule whose initial divides it, until no initial divides it."""
-    steps = 0
-    while (i := index.lowest(mono)) is not None:
-        steps += 1
-        if steps > _REDUCTION_CAP:
-            raise _ReductionDiverged()
-        ini, tail = rules[i]
-        mono = _exchange(mono, ini, tail)
-    return mono
-
-
-class _ReductionDiverged(Exception):
-    pass
-
-
-def groebner_verify(
-    matrix: ToricMatrix, gens, order: LiftableOrder | None = None
-) -> bool:
-    """Marked Buchberger criterion: markings must be squarefree kernel
-    binomials and every S-pair must reduce to zero under marked rewriting.
-    A diverging reduction (possible only for markings inconsistent with any
-    term order) counts as failure.
-
-    When order is given and every marking strictly dominates its tail under
-    it (marking_consistent_with_weights), the markings are the leading terms
-    of the term order LiftableOrder.compare, and S-pairs whose initials are
-    coprime are skipped (Buchberger's first criterion).  For a - b and c - d
-    with a, c coprime the S-pair terms are b*c and a*d; each rewrites in one
-    step to b*d, so the pair reduces to zero, and rewriting terminates
-    because every step descends in the order.  Under a term order the
-    remaining pairs then decide the verdict as the full loop does.  A
-    marking that no term order induces can hide a failure in a coprime pair
-    (Reeves and Sturmfels, 1993), so without order, or on any marking the
-    order does not induce, every pair is reduced."""
-    for g in gens:
-        if not kernel_member(matrix, g):
-            return False
-        if len(g.plus) != len(g.minus):
-            return False
-        if not g.initial_squarefree():
-            return False
-    rules = _marked_rules(gens)
-    index = _InitialIndex(ini for ini, _ in rules)
-    if order is not None and marking_consistent_with_weights(gens, order):
-        pairs = _overlapping_pairs(rules)
-    else:
-        pairs = combinations_with_replacement(rules, 2)
-    try:
-        for (p1, m1), (p2, m2) in pairs:
-            u = tuple(sorted([*m1, *_cofactor(p1, p2)]))
-            w = tuple(sorted([*m2, *_cofactor(p2, p1)]))
-            if _normal_form(u, rules, index) != _normal_form(w, rules, index):
-                return False
-    except _ReductionDiverged:
-        return False
-    return True
-
-
-def _overlapping_pairs(rules):
-    """The pairs of combinations_with_replacement(rules, 2), in its order,
-    whose initials share a key; the coprime ones are left out."""
-    holders = {}
-    for i, (ini, _) in enumerate(rules):
-        for k in set(ini):
-            holders.setdefault(k, []).append(i)
-    for i, rule in enumerate(rules):
-        partners = {j for k in set(rule[0]) for j in holders[k] if j >= i}
-        for j in sorted(partners):
-            yield rule, rules[j]
 
 
 def reducedness_report(gens) -> dict:
@@ -500,11 +441,12 @@ def fiber_connectivity(matrix: ToricMatrix, gens, degree_cap: int) -> bool:
     as many as the distinct fiber keys."""
     if degree_cap < 1:
         raise TreeError("degree cap must be >= 1")
-    if degree_cap > 4 and matrix.n_cols > 25:
+    n = matrix.n_cols
+    # C(93, 4) monomials of degree <= 4 in 89 columns: 10 leaves at cap 4
+    if (degree_cap > 4 and n > 25) or comb(n + degree_cap, degree_cap) > 2_919_735:
         raise TreeError("degree cap too large for exhaustive fiber walks")
     if any(x not in (0, 1) for row in matrix.rows for x in row):
         raise TreeError("fiber walks need a 0/1 matrix")
-    n = matrix.n_cols
     reach = max([degree_cap, *(len(t) for g in gens for t in (g.plus, g.minus))])
     width = reach.bit_length()
     var = [1 << width * j for j in range(n)]

@@ -8,21 +8,20 @@ import math
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from hypothesis import strategies as st
 
 from cfnmc.ehrhart import _blocked
 from cfnmc.ideal import (
-    _REDUCTION_CAP,
+    LiftableOrder,
     MarkedBinomial,
+    ToricMatrix,
     _build,
-    _InitialIndex,
     _marked_rules,
-    _normal_form,
-    _ReductionDiverged,
     construct_generators,
     kernel_member,
+    marking_consistent_with_weights,
 )
 from cfnmc.model import LeafDistribution, _transitions
 from cfnmc.paths import (
@@ -426,16 +425,164 @@ def construct_generators_by_compare(tree) -> list:
     return gens
 
 
+def maximal_cliques_by_subsets(adj) -> set:
+    """Bitsets of the maximal cliques of the graph where vertex i has the
+    neighbours adj[i], by testing every vertex subset."""
+    n = len(adj)
+    cliques = [
+        s
+        for s in range(1 << n)
+        if all(s & ~adj[i] & ~(1 << i) == 0 for i in range(n) if s >> i & 1)
+    ]
+    members = set(cliques)
+    return {
+        s for s in cliques if not any(s | 1 << i in members for i in range(n) if not s >> i & 1)
+    }
+
+
+def determinant_by_permutations(rows) -> int:
+    """Leibniz expansion of the determinant of a square integer matrix."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(row[j] for row, j in zip(rows, perm))
+    return total
+
+
+# -- the S-pair oracle for the Gröbner certificate ----------------------------
+
+
+REDUCTION_CAP = 10_000
+
+
+class InitialIndex:
+    """Positions of marked binomials by initial monomial (a sorted key
+    tuple), ascending.  The initials dividing a monomial are found by looking
+    up its distinct sub-multisets of the degrees present, at most six for
+    the degree-4 S-pair terms of quadrics, instead of testing every rule."""
+
+    def __init__(self, initials):
+        self.positions = {}
+        for i, ini in enumerate(initials):
+            self.positions.setdefault(tuple(sorted(ini)), []).append(i)
+        self.degrees = sorted({len(k) for k in self.positions})
+
+    def dividing(self, mono: tuple):
+        """(initial, positions) for each distinct initial dividing the
+        sorted monomial mono."""
+        for d in self.degrees:
+            if d > len(mono):
+                break
+            for sub in dict.fromkeys(combinations(mono, d)):
+                positions = self.positions.get(sub)
+                if positions is not None:
+                    yield sub, positions
+
+    def lowest(self, mono: tuple):
+        """The lowest position whose initial divides mono, or None."""
+        return min((pos[0] for _, pos in self.dividing(mono)), default=None)
+
+
+def _exchange(mono: tuple, out: tuple, into: tuple) -> tuple:
+    """mono / out * into as a sorted key tuple; out must divide mono."""
+    rest = list(mono)
+    for k in out:
+        rest.remove(k)
+    return tuple(sorted(rest + list(into)))
+
+
+def _cofactor(a: tuple, b: tuple) -> list:
+    """lcm(a, b) / a, that is b / gcd(a, b), as a list of keys."""
+    rest = list(b)
+    for k in a:
+        if k in rest:
+            rest.remove(k)
+    return rest
+
+
+def _normal_form(mono: tuple, rules, index: InitialIndex) -> tuple:
+    """Marked rewriting of the sorted monomial mono, always by the lowest
+    rule whose initial divides it, until no initial divides it."""
+    steps = 0
+    while (i := index.lowest(mono)) is not None:
+        steps += 1
+        if steps > REDUCTION_CAP:
+            raise ReductionDiverged()
+        ini, tail = rules[i]
+        mono = _exchange(mono, ini, tail)
+    return mono
+
+
+class ReductionDiverged(Exception):
+    pass
+
+
+def groebner_verify_by_spairs(
+    matrix: ToricMatrix, gens, order: LiftableOrder | None = None
+) -> bool:
+    """Marked Buchberger criterion: markings must be squarefree kernel
+    binomials and every S-pair must reduce to zero under marked rewriting.
+    A diverging reduction (possible only for markings inconsistent with any
+    term order) counts as failure.
+
+    When order is given and every marking strictly dominates its tail under
+    it (marking_consistent_with_weights), the markings are the leading terms
+    of the term order LiftableOrder.compare, and S-pairs whose initials are
+    coprime are skipped (Buchberger's first criterion).  For a - b and c - d
+    with a, c coprime the S-pair terms are b*c and a*d; each rewrites in one
+    step to b*d, so the pair reduces to zero, and rewriting terminates
+    because every step descends in the order.  Under a term order the
+    remaining pairs then decide the verdict as the full loop does.  A
+    marking that no term order induces can hide a failure in a coprime pair
+    (Reeves and Sturmfels, 1993), so without order, or on any marking the
+    order does not induce, every pair is reduced."""
+    for g in gens:
+        if not kernel_member(matrix, g):
+            return False
+        if len(g.plus) != len(g.minus):
+            return False
+        if not g.initial_squarefree():
+            return False
+    rules = _marked_rules(gens)
+    index = InitialIndex(ini for ini, _ in rules)
+    if order is not None and marking_consistent_with_weights(gens, order):
+        pairs = _overlapping_pairs(rules)
+    else:
+        pairs = combinations_with_replacement(rules, 2)
+    try:
+        for (p1, m1), (p2, m2) in pairs:
+            u = tuple(sorted([*m1, *_cofactor(p1, p2)]))
+            w = tuple(sorted([*m2, *_cofactor(p2, p1)]))
+            if _normal_form(u, rules, index) != _normal_form(w, rules, index):
+                return False
+    except ReductionDiverged:
+        return False
+    return True
+
+
+def _overlapping_pairs(rules):
+    """The pairs of combinations_with_replacement(rules, 2), in its order,
+    whose initials share a key; the coprime ones are left out."""
+    holders = {}
+    for i, (ini, _) in enumerate(rules):
+        for k in set(ini):
+            holders.setdefault(k, []).append(i)
+    for i, rule in enumerate(rules):
+        partners = {j for k in set(rule[0]) for j in holders[k] if j >= i}
+        for j in sorted(partners):
+            yield rule, rules[j]
+
+
 def reduces_to_zero(binomial, gens) -> bool:
     """Whether plus - minus reduces to 0 against the marked basis, by the
-    indexed rewriting groebner_verify uses."""
+    indexed rewriting groebner_verify_by_spairs uses."""
     rules = _marked_rules(gens)
-    index = _InitialIndex(ini for ini, _ in rules)
+    index = InitialIndex(ini for ini, _ in rules)
     try:
         return _normal_form(tuple(sorted(binomial.plus)), rules, index) == _normal_form(
             tuple(sorted(binomial.minus)), rules, index
         )
-    except _ReductionDiverged:
+    except ReductionDiverged:
         return False
 
 
@@ -461,7 +608,7 @@ def normal_form_by_scan(mono: Counter, rules) -> tuple:
             if _divides(plus, mono):
                 mono = mono - plus + minus
                 steps += 1
-                if steps > _REDUCTION_CAP:
+                if steps > REDUCTION_CAP:
                     raise ScanDiverged()
                 changed = True
                 break
@@ -484,7 +631,8 @@ def reduces_to_zero_by_scan(binomial, gens) -> bool:
 
 
 def groebner_verify_by_scan(matrix, gens) -> bool:
-    """groebner_verify with every divisor found by scanning all rules."""
+    """groebner_verify_by_spairs without order, with every divisor found by
+    scanning all rules."""
     for g in gens:
         if not kernel_member(matrix, g):
             return False

@@ -57,6 +57,14 @@ class TestExitCodes:
             )
             assert code == 2 and out == "" and err.startswith("error:")
 
+    def test_degree_cap_over_monomial_budget(self, capsys):
+        # 5 columns: C(405, 400), about 9e10 monomials, past C(93, 4), the
+        # count at 10 leaves and cap 4
+        code, out, err = run(
+            capsys, "markov-check", "--tree", "((1,2),(3,4));", "--degree", "400"
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_tol_not_finite_or_negative(self, capsys):
         for tol in ("inf", "nan", "-1e-9"):
             code, out, err = run(

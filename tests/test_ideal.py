@@ -1,16 +1,17 @@
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 import cfnmc.ideal as ideal_mod
+import helpers
+from cfnmc.ehrhart import normalized_volume
 from cfnmc.ideal import (
     LiftableOrder,
     MarkedBinomial,
     ToricMatrix,
-    _InitialIndex,
     build_matrix,
     construct_generators,
     fiber_connectivity,
@@ -19,13 +20,18 @@ from cfnmc.ideal import (
     marking_consistent_with_weights,
     reducedness_report,
 )
+from cfnmc.polytope import build_RT
 from cfnmc.tree import TreeError, enumerate_topologies, is_cluster_tree, parse_newick
 
 from helpers import (
     FIG_TREE,
+    InitialIndex,
     construct_generators_by_compare,
+    determinant_by_permutations,
     fiber_connectivity_by_scan,
     groebner_verify_by_scan,
+    groebner_verify_by_spairs,
+    maximal_cliques_by_subsets,
     quadratic_kernel_oracle,
     reducedness_by_scan,
     reduces_to_zero,
@@ -73,7 +79,7 @@ class TestMatrix:
             (1, 1, 0, 0, 1),
             (1, 0, 0, 1, 1),
         }
-        mine = {M.column(k) for k in M.keys}
+        mine = set(zip(*M.rows))
         assert mine == reference_cols
         assert list(M.keys) == sorted(M.keys)
 
@@ -136,7 +142,7 @@ class TestConstruction:
                 M = build_matrix(t)
                 gens, _ = construct_generators(t)
                 for g in gens:
-                    assert g.degree() == 2
+                    assert len(g.plus) == len(g.minus) == 2
                     assert kernel_member(M, g)
                     assert g.initial_squarefree()
 
@@ -193,37 +199,169 @@ class TestConstruction:
                     assert hi >= lo, (t.to_newick(), g)
 
 
+def certificate_inputs(t):
+    """(matrix, generators, order, volume): the arguments groebner-check
+    passes to groebner_verify for tree t."""
+    gens, order = construct_generators(t)
+    return build_matrix(t), gens, order, normalized_volume(build_RT(t))
+
+
 class TestGroebner:
     def test_all_shapes_up_to_six(self):
         for n in range(2, 7):
             for t in enumerate_topologies(n):
-                M = build_matrix(t)
-                gens, _ = construct_generators(t)
-                assert groebner_verify(M, gens), (n, t.to_newick())
+                assert groebner_verify(*certificate_inputs(t)), (n, t.to_newick())
 
     def test_adversarial_flip_fails(self):
-        t = parse_newick(FIG_TREE)
-        M = build_matrix(t)
-        gens, _ = construct_generators(t)
-        flipped = []
-        for i, g in enumerate(gens):
-            if i == 0:
-                flipped.append(
-                    MarkedBinomial(g.minus, g.plus, g.provenance)
-                )
-            else:
-                flipped.append(g)
-        assert not groebner_verify(M, flipped)
+        M, gens, order, volume = certificate_inputs(parse_newick(FIG_TREE))
+        flipped = [MarkedBinomial(gens[0].minus, gens[0].plus, gens[0].provenance)]
+        assert not groebner_verify(M, flipped + gens[1:], order, volume)
 
     def test_empty_set_ok(self):
-        t = parse_newick("((1,2),3);")
-        assert groebner_verify(build_matrix(t), [])
+        M, gens, order, volume = certificate_inputs(parse_newick("((1,2),3);"))
+        assert gens == [] and volume == 1
+        assert groebner_verify(M, [], order, volume)
 
     def test_non_kernel_rejected(self):
-        t = parse_newick(FIG_TREE)
-        M = build_matrix(t)
+        M, gens, order, volume = certificate_inputs(parse_newick(FIG_TREE))
         bad = MarkedBinomial(("0000", "1000"), ("0100", "0010"), "oracle")
-        assert not groebner_verify(M, [bad])
+        assert not groebner_verify(M, [bad], order, volume)
+        # an existing initial over a tail outside its fiber leaves the
+        # initial ideal, and every other check, as it was
+        g = gens[0]
+        tail = next(
+            t
+            for t in combinations(M.keys, 2)
+            if order.compare(g.plus, t) > 0 and M.monomial_sum(t) != M.monomial_sum(g.plus)
+        )
+        stray = MarkedBinomial(g.plus, tail, "x")
+        assert marking_consistent_with_weights([stray], order)
+        assert not groebner_verify(M, gens + [stray], order, volume)
+
+
+class TestCertificate:
+    """groebner_verify counts the facets of the initial complex; its verdicts
+    equal those of the S-pair oracle (tests/helpers.py) on every shape
+    small enough to run it, and it rejects every input whose initials are
+    not in(I_A) or that breaks one of its premises."""
+
+    def test_agrees_with_spairs_up_to_seven(self):
+        for n in range(2, 8):
+            for t in enumerate_topologies(n):
+                M, gens, order, volume = certificate_inputs(t)
+                got = groebner_verify(M, gens, order, volume)
+                assert (got, groebner_verify_by_spairs(M, gens, order)) == (True, True), (
+                    t.to_newick()
+                )
+
+    def test_eight_leaf_failures_rejected(self):
+        for text in FAILING_EIGHT_LEAF:
+            assert not groebner_verify(*certificate_inputs(parse_newick(text))), text
+
+    @pytest.mark.slow
+    def test_agrees_with_spairs_at_eight(self):
+        failing = []
+        for t in enumerate_topologies(8):
+            M, gens, order, volume = certificate_inputs(t)
+            got = groebner_verify(M, gens, order, volume)
+            assert got == groebner_verify_by_spairs(M, gens, order), t.to_newick()
+            if not got:
+                failing.append(t.to_newick())
+        assert sorted(failing) == sorted(FAILING_EIGHT_LEAF)
+
+    def test_single_flips_rejected(self):
+        for n in range(4, 7):
+            for t in enumerate_topologies(n):
+                M, gens, order, volume = certificate_inputs(t)
+                for i, g in enumerate(gens):
+                    flipped = list(gens)
+                    flipped[i] = replace(g, plus=g.minus, minus=g.plus)
+                    assert not groebner_verify(M, flipped, order, volume), (t.to_newick(), i)
+
+    def test_prefixes_certified_exactly_with_every_initial(self):
+        # some shapes repeat an initial, so a proper prefix can hold them all
+        verdicts = Counter()
+        for n in range(4, 7):
+            for t in enumerate_topologies(n):
+                M, gens, order, volume = certificate_inputs(t)
+                initials = {g.plus for g in gens}
+                for k in range(len(gens)):
+                    want = {g.plus for g in gens[:k]} == initials
+                    got = groebner_verify(M, gens[:k], order, volume)
+                    assert got == want, (t.to_newick(), k)
+                    verdicts[got] += 1
+        assert verdicts[True] and verdicts[False]
+
+    def test_wrong_volume_rejected(self):
+        for n in range(3, 7):
+            for t in enumerate_topologies(n):
+                M, gens, order, volume = certificate_inputs(t)
+                assert groebner_verify(M, gens, order, volume)
+                for wrong in (volume - 1, volume + 1):
+                    assert not groebner_verify(M, gens, order, wrong), (t.to_newick(), wrong)
+
+    def test_facet_of_wrong_size_rejected(self):
+        # with no generator the one facet is all 3 columns, while a facet of
+        # the segment's triangulation has 2; the count 1 and the first two
+        # columns' determinant would pass
+        M = ToricMatrix(("a", "b", "c"), ((1, 1, 1), (0, 1, 2)))
+        order = LiftableOrder({"a": 0, "b": 0, "c": 0}, {}, "traversable")
+        assert not groebner_verify(M, [], order, 1)
+
+    def test_facet_of_determinant_two_rejected(self):
+        # one facet {0, 1} and volume 1, but the columns span a sublattice
+        # of index 2
+        order = LiftableOrder({"0": 0, "1": 0}, {}, "traversable")
+        for rows, want in ((((1, 1), (0, 1)), True), (((1, 1), (0, 2)), False)):
+            M = ToricMatrix(("0", "1"), rows)
+            assert groebner_verify(M, [], order, 1) == want, rows
+
+    def test_square_initial_rejected(self):
+        # columns (1,0), (1,1), (1,2): b*b - a*c is in the kernel, and the
+        # segment has volume 2.  Marking a*c certifies; marking b*b, the
+        # leading term when b weighs most, is not squarefree.
+        M = ToricMatrix(("a", "b", "c"), ((1, 1, 1), (0, 1, 2)))
+        for weight, plus, minus, want in (
+            ({"a": 1, "b": 0, "c": 1}, ("a", "c"), ("b", "b"), True),
+            ({"a": 0, "b": 1, "c": 0}, ("b", "b"), ("a", "c"), False),
+        ):
+            order = LiftableOrder(weight, {}, "traversable")
+            g = MarkedBinomial(plus, minus, "x")
+            assert kernel_member(M, g) and marking_consistent_with_weights([g], order)
+            assert groebner_verify(M, [g], order, 2) == want, plus
+
+    def test_maximal_cliques_match_subsets(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            adj = [0] * n
+            for i, j in combinations(range(n), 2):
+                if rng.random() < rng.choice((0.2, 0.5, 0.8)):
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            got = list(ideal_mod._maximal_cliques(adj))
+            assert len(got) == len(set(got)), adj
+            assert set(got) == maximal_cliques_by_subsets(adj), adj
+
+    def test_determinant_matches_leibniz(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            n = rng.randint(1, 5)
+            rows = [[rng.choice((0, 0, 1, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+            assert ideal_mod._determinant(rows) == determinant_by_permutations(rows), rows
+
+    def test_cubic_generator_rejected(self):
+        # a quadric times a key outside its initial: a squarefree kernel
+        # cubic whose marking the order induces, and whose initial adds
+        # nothing to the initial ideal
+        M, gens, order, volume = certificate_inputs(parse_newick(FIG_TREE))
+        g = gens[0]
+        k = next(k for k in M.keys if k not in g.plus)
+        cubic = MarkedBinomial(tuple(sorted((k, *g.plus))), tuple(sorted((k, *g.minus))), "x")
+        assert kernel_member(M, cubic) and cubic.initial_squarefree()
+        assert marking_consistent_with_weights([cubic], order)
+        assert groebner_verify(M, gens, order, volume)
+        assert not groebner_verify(M, gens + [cubic], order, volume)
 
 
 class TestFiberConnectivity:
@@ -330,7 +468,7 @@ class TestInitialIndex:
         keys = build_matrix(t).keys
         gens, _ = construct_generators(t)
         initials = [g.plus for g in gens] + [("0000",), ()]
-        index = _InitialIndex(initials)
+        index = InitialIndex(initials)
         for degree in range(4):
             for mono in combinations_with_replacement(keys, degree):
                 cm = Counter(mono)
@@ -344,21 +482,21 @@ class TestInitialIndex:
                 assert index.lowest(mono) == (want[0] if want else None)
 
     def test_repeated_initial_keeps_positions_ascending(self):
-        index = _InitialIndex([("b", "a"), ("c",), ("a", "b")])
+        index = InitialIndex([("b", "a"), ("c",), ("a", "b")])
         assert index.positions == {("a", "b"): [0, 2], ("c",): [1]}
         assert index.lowest(("a", "b", "c")) == 0
 
 
 class TestIndexedAgainstScan:
-    """The indexed S-pair reduction, reducedness count and fiber walk give
-    the verdicts of the linear scans they replace (tests/helpers.py)."""
+    """The indexed S-pair oracle, reducedness count and fiber walk give the
+    verdicts of the linear scans they replace (tests/helpers.py)."""
 
     def test_groebner_verdicts_all_shapes(self):
         for n in range(2, 7):
             for t in enumerate_topologies(n):
                 M = build_matrix(t)
                 gens, _ = construct_generators(t)
-                assert groebner_verify(M, gens) == groebner_verify_by_scan(M, gens)
+                assert groebner_verify_by_spairs(M, gens) == groebner_verify_by_scan(M, gens)
 
     def test_groebner_verdicts_single_flips(self):
         rejected = 0
@@ -369,7 +507,7 @@ class TestIndexedAgainstScan:
                 for i, g in enumerate(gens):
                     flipped = list(gens)
                     flipped[i] = replace(g, plus=g.minus, minus=g.plus)
-                    got = groebner_verify(M, flipped)
+                    got = groebner_verify_by_spairs(M, flipped)
                     assert got == groebner_verify_by_scan(M, flipped), (t.to_newick(), i)
                     rejected += not got
         assert rejected > 0
@@ -392,7 +530,7 @@ class TestIndexedAgainstScan:
         M = build_matrix(t)
         g = construct_generators(t)[0][0]
         cyclic = [g, replace(g, plus=g.minus, minus=g.plus)]
-        assert not groebner_verify(M, cyclic)
+        assert not groebner_verify_by_spairs(M, cyclic)
         assert not groebner_verify_by_scan(M, cyclic)
         assert not reduces_to_zero(g, cyclic)
         assert not reduces_to_zero_by_scan(g, cyclic)
@@ -478,15 +616,17 @@ FAILING_EIGHT_LEAF = ["(1,((2,3),(4,((5,6),(7,8)))));", "(((1,2),(3,4)),((5,6),(
 
 
 def full_and_pruned(M, gens, order):
-    """groebner_verify without and with the order; the second skips coprime
-    pairs only when the markings pass marking_consistent_with_weights."""
-    return groebner_verify(M, gens), groebner_verify(M, gens, order)
+    """groebner_verify_by_spairs without and with the order; the second skips
+    coprime pairs only when the markings pass
+    marking_consistent_with_weights."""
+    return groebner_verify_by_spairs(M, gens), groebner_verify_by_spairs(M, gens, order)
 
 
 class TestPrunedAgainstFull:
-    """Given the exported order, groebner_verify skips coprime S-pairs once
-    every marking is a leading term under it; its verdicts equal the full
-    loop's, and markings the order does not induce fall back to that loop."""
+    """Given the exported order, groebner_verify_by_spairs skips coprime
+    S-pairs once every marking is a leading term under it; its verdicts
+    equal the full loop's, and markings the order does not induce fall back
+    to that loop."""
 
     def test_all_shapes_up_to_seven(self):
         for n in range(2, 8):
@@ -544,7 +684,7 @@ class TestPrunedAgainstFull:
                     flipped = list(gens)
                     flipped[i] = replace(g, plus=g.minus, minus=g.plus)
                     assert not marking_consistent_with_weights(flipped, order)
-                    got = groebner_verify(M, flipped, order)
+                    got = groebner_verify_by_spairs(M, flipped, order)
                     assert got == groebner_verify_by_scan(M, flipped), (t.to_newick(), i)
                     rejected += not got
         assert rejected > 0
@@ -554,7 +694,7 @@ class TestPrunedAgainstFull:
         M = build_matrix(t)
         gens, order = construct_generators(t)
         cyclic = [gens[0], replace(gens[0], plus=gens[0].minus, minus=gens[0].plus)]
-        assert not groebner_verify(M, cyclic, order)
+        assert not groebner_verify_by_spairs(M, cyclic, order)
 
     def test_zero_binomials_fall_back(self):
         # a - a marks no leading term, so neither takes the pruned path.  The
@@ -576,14 +716,14 @@ class TestPrunedAgainstFull:
         M = build_matrix(t)
         gens, order = construct_generators(t)
         calls = []
-        normal_form = ideal_mod._normal_form
+        normal_form = helpers._normal_form
         monkeypatch.setattr(
-            ideal_mod, "_normal_form", lambda *a: calls.append(a[0]) or normal_form(*a)
+            helpers, "_normal_form", lambda *a: calls.append(a[0]) or normal_form(*a)
         )
-        assert groebner_verify(M, gens)
+        assert groebner_verify_by_spairs(M, gens)
         full = len(calls)
         calls.clear()
-        assert groebner_verify(M, gens, order)
+        assert groebner_verify_by_spairs(M, gens, order)
         g = len(gens)
         overlapping = sum(
             bool(set(a.plus) & set(b.plus))
