@@ -30,6 +30,7 @@ from .model import (
     ClockParams,
     FourierPoint,
     LeafDistribution,
+    TransformError,
     fourier_transform,
     invariant_check,
     leaf_distribution,
@@ -54,6 +55,7 @@ from .polytope import (
 )
 from .tree import (
     Cluster,
+    LeafMasks,
     NewickError,
     NniTriple,
     RootedBinaryTree,

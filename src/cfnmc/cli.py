@@ -254,9 +254,12 @@ def cmd_model_check(args) -> dict:
     out = []
     for tree in _trees_for(args):
         gens, _ = id_.construct_generators(tree)
-        report = md.invariant_check(
-            tree, gens, samples=args.samples, seed=args.seed, tol=args.tol
-        )
+        try:
+            report = md.invariant_check(
+                tree, gens, samples=args.samples, seed=args.seed, tol=args.tol
+            )
+        except md.TransformError as exc:
+            raise CheckFailure({"tree": tree.to_newick(), "tol": args.tol, **exc.detail})
         report["tree"] = tree.to_newick()
         if not report["pass"]:
             worst = max(report["binomials"], key=lambda b: b["max_residual"], default=None)

@@ -15,9 +15,20 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from operator import add, sub
 
-from .paths import labeling_edges, topset_key, topset_of_edges
+from .paths import topset_key
 from .tree import RootedBinaryTree, TreeError
+
+
+class TransformError(TreeError):
+    """A transformed point breaks an identity of the model: an odd-parity
+    entry does not vanish, or two labelings with one top-set disagree.
+    ``detail`` names the labeling or the class and the values found."""
+
+    def __init__(self, message: str, detail: dict):
+        super().__init__(message)
+        self.detail = detail
 
 
 @dataclass(frozen=True)
@@ -89,34 +100,45 @@ def leaf_distribution(tree: RootedBinaryTree, params: ClockParams) -> LeafDistri
     """Exact marginal over hidden interior states with a uniform root.
 
     Computed by Felsenstein's pruning in tabulated form: one bottom-up pass
-    in which each node carries, for every assignment of the leaves below it,
-    (P(leaves below | 0), P(leaves below | 1)).  An assignment is a bitmask
-    with leaf i at bit n-1-i, so a root mask is the index of its labeling in
-    _all_labelings order, and the probabilities are read off the root's
-    table in that order.
+    in which each node carries a list of (mask, P(leaves below | 0),
+    P(leaves below | 1)), one entry per assignment of the leaves below it.
+    An assignment is the mask of its 1-labeled leaves in the tree's
+    LeafMasks (leaf i at bit n-1-i), so a root mask is the index of its
+    labeling in _all_labelings order, where its probability is stored.
     """
     trans = _transitions(tree, params)
+    below = tree.leaf_masks().below
+    tables = {}
+
+    def up(k):
+        # The entries of k's table carried up its edge.  A leaf's table is
+        # (1, 0) at mask 0 and (0, 1) at its own bit, where same * 1 + diff * 0
+        # is exactly same.
+        same, diff = trans[k]
+        if tree.is_leaf(k):
+            return [(0, same, diff), (below[k], diff, same)]
+        return [
+            (m, same * p0 + diff * p1, diff * p0 + same * p1)
+            for m, p0, p1 in tables.pop(k)
+        ]
+
+    for v in reversed(tree.interior_nodes[1:]):  # children before parents
+        a, b = tree.children(v)
+        right = up(b)
+        tables[v] = [
+            (ma | mb, a0 * b0, a1 * b1)
+            for ma, a0, a1 in up(a)
+            for mb, b0, b1 in right
+        ]
+    # The root's entries go straight to their labelings, averaged over the
+    # uniform root state.
     n = tree.n_leaves
-    below = {
-        leaf: {0: (1.0, 0.0), 1 << (n - 1 - i): (0.0, 1.0)}
-        for i, leaf in enumerate(tree.leaves)
-    }
-    for v in reversed(tree.interior_nodes):  # children before parents
-        table = {0: (1.0, 1.0)}
-        for k in tree.children(v):
-            same, diff = trans[k]
-            up = [
-                (mk, same * p0 + diff * p1, diff * p0 + same * p1)
-                for mk, (p0, p1) in below.pop(k).items()
-            ]
-            table = {
-                m | mk: (b0 * u0, b1 * u1)
-                for m, (b0, b1) in table.items()
-                for mk, u0, u1 in up
-            }
-        below[v] = table
-    root = below[tree.root]
-    values = [0.5 * (b0 + b1) for b0, b1 in (root[m] for m in range(1 << n))]
+    values = [0.0] * (1 << n)
+    a, b = tree.children(tree.root)
+    right = up(b)
+    for ma, a0, a1 in up(a):
+        for mb, b0, b1 in right:
+            values[ma | mb] = 0.5 * (a0 * b0 + a1 * b1)
     return LeafDistribution(dict(zip(_all_labelings(n), values)))
 
 
@@ -146,22 +168,35 @@ def _sign_transform(values: list) -> list:
     on the same operands as in the in-place butterflies."""
     for _ in range(len(values).bit_length() - 1):
         evens, odds = values[0::2], values[1::2]
-        values = [a + b for a, b in zip(evens, odds)] + [
-            a - b for a, b in zip(evens, odds)
-        ]
+        values = list(map(add, evens, odds))
+        values += map(sub, evens, odds)
     return values
 
 
 def _class_table(tree: RootedBinaryTree) -> tuple:
-    """(odd, even) for a tree: the mask-order indices of the odd labelings,
-    and (index, top-set key of its path system) for each even labeling."""
-    labelings = _all_labelings(tree.n_leaves)
-    odd = [i for i, lab in enumerate(labelings) if sum(lab) % 2]
-    even = [
-        (i, topset_key(tree, topset_of_edges(tree, labeling_edges(tree, lab))))
-        for i, lab in enumerate(labelings)
-        if not sum(lab) % 2
-    ]
+    """(odd, even) for a tree: the odd leaf masks, and (mask, top-set key of
+    its path system) for each even one, all in mask order, which is the
+    order of the labelings in _all_labelings.  A node is a top when the
+    mask meets the leaves below each of its children an odd number of
+    times (see paths.labeling_edges)."""
+    below = tree.leaf_masks().below
+    tops = []
+    for v in tree.interior_nodes:
+        a, b = tree.children(v)
+        tops.append((1 << v, below[a], below[b]))
+    odd, even = [], []
+    keys = {}
+    for mask in range(1 << tree.n_leaves):
+        if mask.bit_count() & 1:
+            odd.append(mask)
+            continue
+        topset = 0
+        for bit, left, right in tops:
+            if (mask & left).bit_count() & (mask & right).bit_count() & 1:
+                topset |= bit
+        if topset not in keys:
+            keys[topset] = topset_key(tree, topset)
+        even.append((mask, keys[topset]))
     return odd, even
 
 
@@ -172,14 +207,18 @@ def _class_coordinates(qhat: list, table: tuple, tol: float) -> dict:
     for i in odd:
         if abs(qhat[i]) > tol:
             lab = _all_labelings(len(qhat).bit_length() - 1)[i]
-            raise TreeError(f"odd-parity transform entry {lab} = {qhat[i]} exceeds tol")
+            raise TransformError(
+                f"odd-parity transform entry {lab} = {qhat[i]} exceeds tol",
+                {"labeling": list(lab), "value": qhat[i]},
+            )
     rcoords = {}
     for i, key in even:
         val = qhat[i]
         if key in rcoords and abs(rcoords[key] - val) > tol:
-            raise TreeError(
+            raise TransformError(
                 f"labelings with equal top-set disagree: {key}: "
-                f"{rcoords[key]} vs {val}"
+                f"{rcoords[key]} vs {val}",
+                {"class": key, "values": [rcoords[key], val]},
             )
         rcoords.setdefault(key, val)
     return rcoords
@@ -196,20 +235,22 @@ def invariant_check(
     parameter draws; all residuals must stay below tol."""
     rng = random.Random(seed)
     table = _class_table(tree)  # depends on the tree only
+    terms = [(g.plus, g.minus) for g in gens]
     per_binomial = [0.0] * len(gens)
     for _ in range(samples):
         params = sample_clock_params(tree, rng)
-        # leaf_distribution fills its dict in mask order
         qhat = _sign_transform(list(leaf_distribution(tree, params).probs.values()))
         point = _class_coordinates(qhat, table, tol)
-        for i, g in enumerate(gens):
+        for i, (plus_keys, minus_keys) in enumerate(terms):
             plus = 1.0
-            for k in g.plus:
+            for k in plus_keys:
                 plus *= point[k]
             minus = 1.0
-            for k in g.minus:
+            for k in minus_keys:
                 minus *= point[k]
-            per_binomial[i] = max(per_binomial[i], abs(plus - minus))
+            residual = abs(plus - minus)
+            if residual > per_binomial[i]:
+                per_binomial[i] = residual
     report = {
         "samples": samples,
         "seed": seed,

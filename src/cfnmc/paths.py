@@ -10,7 +10,14 @@ A top-set, like an edge set, is an ``int`` bitmask keyed by node id: bit v
 is set iff node v is a top (for edges: iff the edge above v is used).  Split
 halves and NNI images keep node ids, so masks combine across related trees
 with ``|``, ``&`` and ``^``.  Canonical order enters only when a mask is
-rendered, by ``topset_bits`` and ``topset_key``.
+rendered, by ``topset_bits`` and ``topset_key``, or sorted, by
+``enumerate_topsets``.  ``topset_key`` walks the set bits of a top-set, ORs
+the canonical bit of each node from the tree's ``LeafMasks`` into a
+canonical mask (the root at the most significant of n-1 bits) and formats
+that mask as a binary numeral; ``enumerate_topsets`` builds the canonical
+mask next to each top-set and sorts by it.  A labeling is likewise read as
+the mask of its 1-labeled leaves, and the edge above v is used iff that mask
+meets the leaves below v in an odd number of bits.
 """
 
 from __future__ import annotations
@@ -41,11 +48,14 @@ def labeling_edges(tree: RootedBinaryTree, labeling) -> int:
         )
     if sum(labeling) % 2 != 0:
         raise TreeError(f"labeling {tuple(labeling)} has odd parity")
-    parity = dict(zip(tree.leaves, labeling))
-    for v in reversed(tree.interior_nodes):  # children before parents
-        a, b = tree.children(v)
-        parity[v] = parity[a] ^ parity[b]
-    return sum(1 << v for v, bit in parity.items() if bit and v != tree.root)
+    mask = 0  # the 1-labeled leaves, in the bit order of LeafMasks.below
+    for bit in labeling:
+        mask = mask << 1 | bit
+    edges = 0
+    for v, leaves in enumerate(tree.leaf_masks().below):
+        if (mask & leaves).bit_count() & 1:  # never the root: mask is even
+            edges |= 1 << v
+    return edges
 
 
 def topset_of_edges(tree: RootedBinaryTree, edges: int) -> int:
@@ -64,8 +74,16 @@ def topset_bits(tree: RootedBinaryTree, topset: int) -> tuple:
 
 
 def topset_key(tree: RootedBinaryTree, topset: int) -> str:
-    """The top-vector as a bitstring, the column key of the toric matrix."""
-    return "".join(str(topset >> v & 1) for v in tree.interior_nodes)
+    """The top-vector as a bitstring, the column key of the toric matrix.
+    Bits of ids that are not interior nodes are ignored."""
+    masks = tree.leaf_masks()
+    topset &= masks.interior
+    out = 0
+    while topset:
+        low = topset & -topset
+        out |= masks.canonical[low.bit_length() - 1]
+        topset ^= low
+    return format(out, f"0{tree.n_leaves - 1}b")
 
 
 def enumerate_topsets(tree: RootedBinaryTree) -> list:
@@ -73,29 +91,39 @@ def enumerate_topsets(tree: RootedBinaryTree) -> list:
     indices.
 
     Generated bottom-up by the realizability rule of is_valid_top_vector:
-    each subtree yields (mask, free) pairs, free meaning that some descent
-    to a leaf avoids the mask, and a node may be marked only when both of
-    its children are free.
+    each subtree yields (mask, canonical mask, free) triples, free meaning
+    that some descent to a leaf avoids the mask, and a node may be marked
+    only when both of its children are free.
     """
+    canonical = tree.leaf_masks().canonical
 
     def grow(v):
         if tree.is_leaf(v):
-            return [(0, True)]
+            return [(0, 0, True)]
         a, b = tree.children(v)
         right = grow(b)
+        bit, cbit = 1 << v, canonical[v]
         out = []
-        for ma, fa in grow(a):
-            for mb, fb in right:
-                out.append((ma | mb, fa or fb))
+        for ma, ca, fa in grow(a):
+            for mb, cb, fb in right:
+                out.append((ma | mb, ca | cb, fa or fb))
                 if fa and fb:
-                    out.append((ma | mb | 1 << v, False))
+                    out.append((ma | mb | bit, ca | cb | cbit, False))
         return out
 
-    interior = tree.interior_nodes
-    return sorted(
-        (mask for mask, _ in grow(tree.root)),
-        key=lambda s: tuple(i for i, v in enumerate(interior) if s >> v & 1),
-    )
+    full = 1 << (tree.n_leaves - 1)
+
+    def rank(entry):
+        # Sorting sets by their tuples of indices lists them in preorder of
+        # the trie that extends a set by one larger index, where the subtree
+        # under index q holds 2^(d-1-q) sets (d = n-1).  Adding up the
+        # subtrees passed over and the sets on the path, a nonempty set with
+        # canonical mask c has rank 2^d + popcount(c) - c - lowbit(c); the
+        # empty set, a prefix of every tuple, has rank 0.
+        c = entry[1]
+        return full + c.bit_count() - c - (c & -c) if c else 0
+
+    return [mask for mask, _, _ in sorted(grow(tree.root), key=rank)]
 
 
 def _free_descent(tree: RootedBinaryTree, topset: int, v: int) -> bool:
@@ -116,8 +144,7 @@ def is_valid_top_vector(tree: RootedBinaryTree, topset: int) -> bool:
     collide because entering a marked node's territory means passing through
     it.
     """
-    interior = sum(1 << v for v in tree.interior_nodes)
-    if topset & ~interior:
+    if topset & ~tree.leaf_masks().interior:
         raise TreeError(f"top-set mask {topset:#x} marks a non-interior node")
     return all(
         _free_descent(tree, topset, k)

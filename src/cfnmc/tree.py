@@ -10,12 +10,18 @@ was built.
 Trees are immutable after construction; all operations return new trees.
 Derived trees (NNI images, splits) preserve the integer ids of the nodes they
 keep, which is what makes coordinates comparable across related trees.
+
+Each tree builds one ``LeafMasks`` table on first use: the leaves below every
+node and the canonical bit of every interior node, both as ints.  Path
+systems, top-set keys and the model's class table read it instead of walking
+the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class NewickError(ValueError):
@@ -39,6 +45,20 @@ class NniTriple:
     b: int
     c: int
     e: int
+
+
+class LeafMasks(NamedTuple):
+    """Bit tables of one tree, indexed by node id (0 at ids that are not
+    nodes).  ``below[v]`` is the set of leaves under v, the leaf with the
+    i-th smallest label at bit n-1-i, so a labeling read as a binary numeral
+    is the mask of its 1-labeled leaves.  ``canonical[v]`` is 1 << (n-2-i)
+    for the interior node of canonical index i, so a top-set's canonical
+    mask, written as n-1 binary digits, is its top-vector.  ``interior`` is
+    the mask of the interior node ids."""
+
+    below: tuple
+    canonical: tuple
+    interior: int
 
 
 @dataclass(frozen=True)
@@ -66,6 +86,7 @@ class RootedBinaryTree:
         "_min_leaf",
         "_interior",
         "_interior_index",
+        "_masks",
         "n_leaves",
     )
 
@@ -109,15 +130,17 @@ class RootedBinaryTree:
 
         # Preorder walk: left child is popped first, so self._interior comes
         # out in canonical preorder.
-        self._interior = []
+        interior = []
         stack = [root]
         while stack:
             v = stack.pop()
             if v in self._children:
-                self._interior.append(v)
+                interior.append(v)
                 left, right = self._children[v]
                 stack += (right, left)
+        self._interior = tuple(interior)
         self._interior_index = {v: i for i, v in enumerate(self._interior)}
+        self._masks = None
         self.n_leaves = len(self._leaf_label)
         if len(self._interior) != self.n_leaves - 1:
             raise TreeError("interior node count must be n_leaves - 1")
@@ -161,7 +184,26 @@ class RootedBinaryTree:
     @property
     def interior_nodes(self) -> tuple:
         """Interior node ids in canonical preorder (root first)."""
-        return tuple(self._interior)
+        return self._interior
+
+    def leaf_masks(self) -> LeafMasks:
+        """The tree's LeafMasks, built on the first call."""
+        if self._masks is None:
+            n = self.n_leaves
+            size = max(self.nodes()) + 1
+            below = [0] * size
+            for i, leaf in enumerate(self.leaves):
+                below[leaf] = 1 << (n - 1 - i)
+            for v in reversed(self._interior):  # children before parents
+                a, b = self._children[v]
+                below[v] = below[a] | below[b]
+            canonical = [0] * size
+            for i, v in enumerate(self._interior):
+                canonical[v] = 1 << (n - 2 - i)
+            self._masks = LeafMasks(
+                tuple(below), tuple(canonical), sum(1 << v for v in self._interior)
+            )
+        return self._masks
 
     def interior_index(self, v: int) -> int:
         return self._interior_index[v]

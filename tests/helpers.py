@@ -29,6 +29,7 @@ from cfnmc.paths import (
     enumerate_topsets,
     topset_bits,
     topset_key,
+    topset_of_edges,
 )
 from cfnmc.polytope import rti_coordinates
 from cfnmc.tree import (
@@ -144,6 +145,58 @@ def topsets_by_labelings(tree) -> set:
             sum(1 << v for v in tree.interior_nodes if set(tree.children(v)) <= used)
         )
     return out
+
+
+def labeling_edges_by_parity(tree, labeling) -> int:
+    """paths.labeling_edges by a parity dict filled bottom-up: a leaf's
+    parity is its label, an interior node's the XOR of its children's, and
+    the edge above every non-root node of odd parity is used."""
+    if len(labeling) != tree.n_leaves:
+        raise TreeError(
+            f"labeling length {len(labeling)} != n_leaves {tree.n_leaves}"
+        )
+    if sum(labeling) % 2 != 0:
+        raise TreeError(f"labeling {tuple(labeling)} has odd parity")
+    parity = dict(zip(tree.leaves, labeling))
+    for v in reversed(tree.interior_nodes):  # children before parents
+        a, b = tree.children(v)
+        parity[v] = parity[a] ^ parity[b]
+    return sum(1 << v for v, bit in parity.items() if bit and v != tree.root)
+
+
+def topset_key_by_scan(tree, topset: int) -> str:
+    """paths.topset_key by reading the top-set's bit at every interior node
+    in canonical order."""
+    return "".join(str(topset >> v & 1) for v in tree.interior_nodes)
+
+
+def sorted_by_index_tuples(tree, topsets) -> list:
+    """Top-sets sorted by the tuple of canonical indices of their tops, the
+    order of paths.enumerate_topsets."""
+    interior = tree.interior_nodes
+    return sorted(
+        topsets,
+        key=lambda s: tuple(i for i, v in enumerate(interior) if s >> v & 1),
+    )
+
+
+def class_table_by_labelings(tree) -> tuple:
+    """model._class_table by walking the labeling tuples in lexicographic
+    order: the indices of the odd ones, and (index, top-set key) of each
+    even one, from the parity-dict path system and the scanned key."""
+    labelings = list(product((0, 1), repeat=tree.n_leaves))
+    odd = [i for i, lab in enumerate(labelings) if sum(lab) % 2]
+    even = [
+        (
+            i,
+            topset_key_by_scan(
+                tree, topset_of_edges(tree, labeling_edges_by_parity(tree, lab))
+            ),
+        )
+        for i, lab in enumerate(labelings)
+        if not sum(lab) % 2
+    ]
+    return odd, even
 
 
 def fib(n: int) -> int:

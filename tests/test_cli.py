@@ -72,6 +72,17 @@ class TestExitCodes:
             )
             assert code == 2 and out == "" and err.startswith("error:"), tol
 
+    def test_model_check_transform_failure(self, capsys):
+        # at tol 1e-30 two labelings of the class 1000 differ in their last
+        # bits: an assertion that failed, not malformed input
+        code, out, err = run(
+            capsys, "model-check", "--tree", FIG_TREE, "--samples", "2", "--tol", "1e-30"
+        )
+        assert code == 1 and out == "" and err.startswith("FAIL ")
+        payload = json.loads(err[len("FAIL "):])
+        assert payload["tree"] == FIG_TREE and payload["class"] == "1000"
+        assert payload["tol"] == 1e-30 and len(payload["values"]) == 2
+
     def test_tree_over_leaf_budget(self, capsys):
         twelve = "(" * 11 + "1," + ",".join(f"{i})" for i in range(2, 13)) + ";"
         for argv in (
@@ -183,12 +194,25 @@ class TestDeterminism:
                 ("groebner-check", "--leaves", "7"),
                 "c66b3868f450d9c10645b461a908c4f7cf0ad0fc32b17cdd950a0ad294686dd3",
             ),
+            (
+                ("vertices", "--leaves", "10"),
+                "0abcf0646aa7393332e8898df66d535e6c0f645cd3000002b031fc97f6448799",
+            ),
+            (
+                ("model-check", "--leaves", "8", "--samples", "3", "--seed", "2"),
+                "a1af0efcb090d81449d938fb1fcd44f53287d3dfa15014237928375956ed6396",
+            ),
+            (
+                ("model-check", "--leaves", "9", "--samples", "2", "--seed", "3"),
+                "2183d59851b17c254d4b86fb2b676073436f59c7b5eef19408e1e7edd93a33ba",
+            ),
         ],
     )
     def test_check_output_pinned(self, capsys, argv, digest):
         # Pins the per-move dilate counts and audits, the float bits of
-        # every max_residual of the seeded model check, the fiber walks'
-        # report and the certified generator counts.
+        # every max_residual of the seeded model checks, the fiber walks'
+        # report, the certified generator counts and the top-vectors of
+        # every 10-leaf shape.
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -7,6 +7,8 @@ from cfnmc.ideal import MarkedBinomial, construct_generators
 from cfnmc.model import (
     ClockParams,
     LeafDistribution,
+    TransformError,
+    _class_table,
     _sign_transform,
     fourier_transform,
     invariant_check,
@@ -19,6 +21,7 @@ from helpers import (
     FIG_TREE,
     caterpillar,
     class_monomial_value,
+    class_table_by_labelings,
     leaf_distribution_bruteforce,
     leaf_distribution_by_assignment,
     sign_transform_in_place,
@@ -154,16 +157,26 @@ class TestFourier:
         dist = leaf_distribution(t, sample_clock_params(t, random.Random(1)))
         skewed = dict(dist.probs)
         skewed[(0, 1, 1)] += 0.25  # odd entries pick up +-0.25
-        with pytest.raises(TreeError, match=r"odd-parity transform entry \(0, 0, 1\)"):
+        with pytest.raises(TreeError, match=r"odd-parity transform entry \(0, 0, 1\)") as exc:
             fourier_transform(t, LeafDistribution(skewed))
+        assert isinstance(exc.value, TransformError)
+        assert exc.value.detail["labeling"] == [0, 0, 1]
         # the transform is its own inverse up to 2^n, exactly on dyadic
         # values: a point whose even labelings 011 and 101 (one top-set,
         # the root) disagree
         qhat = [1.0, 0.0, 0.0, 0.5, 0.0, 0.75, 0.25, 0.0]
         probs = [v / 8 for v in sign_transform_in_place(qhat)]
         split = LeafDistribution(dict(zip(sorted(dist.probs), probs)))
-        with pytest.raises(TreeError, match="equal top-set disagree: 10: 0.5 vs 0.75"):
+        with pytest.raises(TreeError, match="equal top-set disagree: 10: 0.5 vs 0.75") as exc:
             fourier_transform(t, split)
+        assert exc.value.detail == {"class": "10", "values": [0.5, 0.75]}
+
+    @pytest.mark.parametrize(
+        "n", [*range(2, 10), pytest.param(10, marks=pytest.mark.slow)]
+    )
+    def test_class_table_equals_labeling_walk(self, n):
+        for t in enumerate_topologies(n):
+            assert _class_table(t) == class_table_by_labelings(t), t.to_newick()
 
     def test_double_transform(self):
         t = parse_newick(FIG_TREE)

@@ -26,9 +26,12 @@ from helpers import (
     BLOCKED_TREE,
     FIG_TREE,
     fib,
+    labeling_edges_by_parity,
     mask_of,
     named_interior,
     random_newick,
+    sorted_by_index_tuples,
+    topset_key_by_scan,
     topsets_by_labelings,
 )
 
@@ -39,14 +42,16 @@ def tops(tree, labeling) -> int:
     return topset_of_edges(tree, labeling_edges(tree, labeling))
 
 
-def canonical_order(tree, topsets) -> list:
-    """Sorted by the tuple of canonical indices of the tops."""
-    return sorted(
-        topsets,
-        key=lambda s: tuple(
-            tree.interior_index(v) for v in tree.interior_nodes if s >> v & 1
-        ),
-    )
+# Every shape on 2..9 leaves in tier-1, and on 10 leaves with -m slow.
+LEAVES_UP_TO_TEN = [*range(2, 10), pytest.param(10, marks=pytest.mark.slow)]
+
+
+def outcome(fn, *args):
+    """fn's value, or the message of the TreeError it raised."""
+    try:
+        return fn(*args)
+    except TreeError as exc:
+        return f"TreeError: {exc}"
 
 
 class TestEvenLabelings:
@@ -113,6 +118,25 @@ class TestPathSystems:
         with pytest.raises(TreeError):
             labeling_edges(t, (1, 1))
 
+    @pytest.mark.parametrize("n", LEAVES_UP_TO_TEN)
+    def test_leaf_masks_equal_parity_walk(self, n):
+        for t in enumerate_topologies(n):
+            for lab in even_labelings(n):
+                assert labeling_edges(t, lab) == labeling_edges_by_parity(t, lab)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_newick(10).map(parse_newick), st.data())
+    def test_random_labelings_against_parity_walk(self, t, data):
+        # odd sums and wrong lengths included: both raise the same error
+        n = data.draw(st.sampled_from([t.n_leaves] * 4 + [t.n_leaves - 1, t.n_leaves + 1]))
+        lab = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        got = outcome(labeling_edges, t, lab)
+        assert got == outcome(labeling_edges_by_parity, t, lab)
+        if n != t.n_leaves:
+            assert got.startswith("TreeError: labeling length")
+        elif sum(lab) % 2:
+            assert got.startswith("TreeError: labeling (") and got.endswith("odd parity")
+
 
 class TestTopVectors:
     def test_empty_system(self):
@@ -147,10 +171,30 @@ class TestTopVectors:
                 assert len(enumerate_topsets(t)) == fib(n)
 
     def test_direct_generation_equals_labeling_oracle(self):
+        # the set from the labelings, the order from the index tuples
         for n in range(2, 10):
             for t in enumerate_topologies(n):
-                want = canonical_order(t, topsets_by_labelings(t))
+                want = sorted_by_index_tuples(t, topsets_by_labelings(t))
                 assert enumerate_topsets(t) == want, t.to_newick()
+
+    @pytest.mark.slow
+    def test_direct_generation_equals_labeling_oracle_at_ten(self):
+        for t in enumerate_topologies(10):
+            want = sorted_by_index_tuples(t, topsets_by_labelings(t))
+            assert enumerate_topsets(t) == want, t.to_newick()
+
+    @pytest.mark.parametrize("n", LEAVES_UP_TO_TEN)
+    def test_keys_equal_scan(self, n):
+        for t in enumerate_topologies(n):
+            for s in enumerate_topsets(t):
+                assert topset_key(t, s) == topset_key_by_scan(t, s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_newick(10).map(parse_newick), st.integers(-(1 << 24), 1 << 24))
+    def test_keys_of_any_mask_equal_scan(self, t, mask):
+        # bits of leaves and of ids past the tree are ignored, and negative
+        # masks read in two's complement, as by the scan
+        assert topset_key(t, mask) == topset_key_by_scan(t, mask)
 
     def test_fiber_sizes_sum(self):
         for n in range(2, 8):
