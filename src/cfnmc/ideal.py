@@ -180,7 +180,7 @@ def _build(tree: RootedBinaryTree, liftable: bool):
         travs = [c for c in inner_classes if trav[c]]
         for a, b in combinations(travs, 2):
             out.append(((a | rho, b), (a, b | rho), "Swap"))
-        inner_mask = _interior_mask(inner)
+        inner_mask = inner.leaf_masks().interior
         rows = [
             {c: w_inner[c & inner_mask] for c in classes},
             {c: 1 if c & rho else 0 for c in classes},
@@ -201,7 +201,7 @@ def _build(tree: RootedBinaryTree, liftable: bool):
         for r1, r2 in combinations(block1, 2):
             for s1, s2 in combinations(block2, 2):
                 out.append(((r1 | s1, r2 | s2), (r1 | s2, r2 | s1), prov))
-    int1, int2 = _interior_mask(t1), _interior_mask(t2)
+    int1, int2 = t1.leaf_masks().interior, t2.leaf_masks().interior
     rank1, rank2 = _ranks(t1, c1, v, liftable), _ranks(t2, c2, v, liftable)
     rows = [
         {c: w1[c & int1] + w2[c & int2] for c in classes},
@@ -252,10 +252,6 @@ def _ranks(half, half_classes, v, liftable) -> dict:
         for i, c in enumerate(block, start=1):
             table[c] = i
     return table
-
-
-def _interior_mask(tree) -> int:
-    return sum(1 << v for v in tree.interior_nodes)
 
 
 def _collapse(rows, classes):

@@ -45,15 +45,6 @@ class Inequality:
             )
         return self
 
-    def satisfied_by(self, point) -> bool:
-        lhs = sum(c * x for c, x in zip(self.coeffs, point))
-        if self.kind == "root_equality":
-            return lhs == self.rhs
-        return lhs <= self.rhs
-
-    def tight_at(self, point) -> bool:
-        return sum(c * x for c, x in zip(self.coeffs, point)) == self.rhs
-
 
 @dataclass(frozen=True)
 class Polytope:
@@ -76,9 +67,6 @@ class Polytope:
     @property
     def equalities(self):
         return tuple(f for f in self.facets if f.kind == "root_equality")
-
-    def contains(self, point) -> bool:
-        return all(f.satisfied_by(point) for f in self.facets)
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,12 +127,6 @@ def build_RTI(tree: RootedBinaryTree, ideal) -> Polytope:
     return Polytope(len(coords), tuple(sorted(verts)), facets, labels)
 
 
-def _unit(coords, index_of, key, value):
-    out = [0] * len(coords)
-    out[index_of[key]] = value
-    return out
-
-
 def facets_RTI(tree: RootedBinaryTree, ideal) -> list:
     """Closed-form H-description of R_T(I) (one equality plus facets).
 
@@ -154,104 +136,73 @@ def facets_RTI(tree: RootedBinaryTree, ideal) -> list:
     maximal r in I to its up edge; y_r >= 0 when no vertex outside I sees the
     root edges; y <= 1 for the 2-leaf degenerate case; and the cluster
     inequalities, with the up-edge term y_m(C) present exactly when m(C) is
-    maximal in I.
+    maximal in I.  Each family appends its rows through one builder, and the
+    append order is the output order.
     """
     ideal = validate_order_ideal(tree, ideal)
     coords = rti_coordinates(tree, ideal)
     index_of = {c: i for i, c in enumerate(coords)}
-    d = len(coords)
     out = []
     full = len(ideal) == tree.n_leaves - 1
+    s, t = tree.children(tree.root)
+
+    def row(terms, rhs, kind):
+        coeffs = [0] * len(coords)
+        for coord, c in terms:
+            coeffs[index_of[coord]] = c
+        out.append(Inequality(tuple(coeffs), rhs, kind).normalized())
 
     if not full:
-        s, t = tree.children(tree.root)
-        coeffs = [0] * d
-        coeffs[index_of[("y", s)]] = 1
-        coeffs[index_of[("y", t)]] = -1
-        out.append(Inequality(tuple(coeffs), 0, "root_equality"))
+        row([(("y", s), 1), (("y", t), -1)], 0, "root_equality")
 
     # Local facets at interior vertices outside I.
     for v in tree.interior_nodes:
         if v in ideal or v == tree.root:
             continue
-        kids = tree.children(v)
-        trio = [index_of[("y", v)], index_of[("y", kids[0])], index_of[("y", kids[1])]]
-        for pos in range(3):
-            coeffs = [0] * d
-            for t_, idx in enumerate(trio):
-                coeffs[idx] = 1 if t_ == pos else -1
-            out.append(Inequality(tuple(coeffs), 0, "cfn_local"))
-        coeffs = [0] * d
-        for idx in trio:
-            coeffs[idx] = 1
-        out.append(Inequality(tuple(coeffs), 2, "cfn_local"))
+        trio = [("y", u) for u in (v, *tree.children(v))]
+        for signs in ((1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
+            row(zip(trio, signs), 0, "cfn_local")
+        row(zip(trio, (1, 1, 1)), 2, "cfn_local")
 
     # x >= 0.
     for v in tree.interior_nodes:
         if v in ideal:
-            out.append(
-                Inequality(tuple(_unit(coords, index_of, ("x", v), -1)), 0, "nonneg")
-            )
+            row([(("x", v), -1)], 0, "nonneg")
 
-    # Adjacent pairs inside I.
+    # Adjacent pairs inside I (an ideal holds interior nodes only).
     for v in tree.interior_nodes:
-        if v not in ideal:
-            continue
-        for k in tree.children(v):
-            if tree.is_interior(k) and k in ideal:
-                coeffs = [0] * d
-                coeffs[index_of[("x", v)]] = 1
-                coeffs[index_of[("x", k)]] = 1
-                out.append(Inequality(tuple(coeffs), 1, "adjacency"))
+        if v in ideal:
+            for k in tree.children(v):
+                if k in ideal:
+                    row([(("x", v), 1), (("x", k), 1)], 1, "adjacency")
 
-    # Each maximal r in I against its own up edge (vacuous when I = Int(T):
-    # no y-coordinates remain).
-    maximal = (
-        []
-        if full
-        else [v for v in tree.interior_nodes if v in ideal and tree.parent(v) not in ideal]
-    )
-    for r in maximal:
-        coeffs = [0] * d
-        coeffs[index_of[("x", r)]] = 1
-        coeffs[index_of[("y", r)]] = 1
-        out.append(Inequality(tuple(coeffs), 1, "adjacency"))
-
-    # y >= 0 at the root: a facet only when no interior vertex outside I
-    # supplies local inequalities that already imply it.
+    # With I = Int(T) no y-coordinates remain and these families are vacuous.
     if not full:
-        s, t = tree.children(tree.root)
-        blockers = [
-            v for v in (s, t) if tree.is_interior(v) and v not in ideal
-        ]
-        if not blockers:
-            coeffs = [0] * d
-            coeffs[index_of[("y", s)]] = -1
-            out.append(Inequality(tuple(coeffs), 0, "nonneg"))
+        # Each maximal r in I against its own up edge.
+        for r in tree.interior_nodes:
+            if r in ideal and tree.parent(r) not in ideal:
+                row([(("x", r), 1), (("y", r), 1)], 1, "adjacency")
+        # y >= 0 at the root: a facet only when no interior vertex outside I
+        # supplies local inequalities that already imply it.
+        if not any(tree.is_interior(v) and v not in ideal for v in (s, t)):
+            row([(("y", s), -1)], 0, "nonneg")
         if tree.n_leaves == 2:
-            coeffs = [0] * d
-            coeffs[index_of[("y", s)]] = 1
-            out.append(Inequality(tuple(coeffs), 1, "cfn_local"))
+            row([(("y", s), 1)], 1, "cfn_local")
 
     # Cluster inequalities inside I.
     for cl in enumerate_clusters(tree):
-        if not cl.members <= ideal:
-            continue
-        coeffs = [0] * d
-        for v in cl.members:
-            coeffs[index_of[("x", v)]] = 2
-        for v in cl.neighbor_set:
-            if v in ideal:
-                coeffs[index_of[("x", v)]] = 1
-        m = cl.max_vertex
-        if tree.parent(m) not in ideal and not full:
-            coeffs[index_of[("y", m)]] = 1
-        out.append(Inequality(tuple(coeffs), len(cl.members) + 1, "cluster"))
+        if cl.members <= ideal:
+            terms = [(("x", v), 2) for v in cl.members]
+            terms += [(("x", v), 1) for v in cl.neighbor_set if v in ideal]
+            m = cl.max_vertex
+            if not full and tree.parent(m) not in ideal:
+                terms.append((("y", m), 1))
+            row(terms, len(cl.members) + 1, "cluster")
 
     if full and tree.n_leaves == 2:
         # R_T for the 2-leaf tree: the segment needs its upper bound x <= 1.
-        out.append(Inequality((1,), 1, "adjacency"))
-    return [f.normalized() for f in out]
+        row([(("x", tree.root), 1)], 1, "adjacency")
+    return out
 
 
 # -- hull oracle plumbing -------------------------------------------------------

@@ -8,8 +8,9 @@ every vector and polytope downstream, so it must never depend on how the tree
 was built.
 
 Trees are immutable after construction; all operations return new trees.
-Derived trees (NNI images, splits) preserve the integer ids of the nodes they
-keep, which is what makes coordinates comparable across related trees.
+Derived trees (NNI images, fiber-product split halves, subtrees) are all built
+by one restriction, ``_restrict``, which keeps the integer ids of the nodes it
+keeps; that is what makes coordinates comparable across related trees.
 
 Each tree builds one ``LeafMasks`` table on first use: the leaves below every
 node and the canonical bit of every interior node, both as ints.  Path
@@ -254,18 +255,6 @@ class RootedBinaryTree:
 
         return render(self.root) + ";"
 
-    def canonical_shape(self):
-        """Nested-tuple shape with children sorted; equal iff same topology."""
-
-        def shape(v):
-            if self.is_leaf(v):
-                return ()
-            a, b = self._children[v]
-            sa, sb = shape(a), shape(b)
-            return (sa, sb) if sa <= sb else (sb, sa)
-
-        return shape(self.root)
-
     def __repr__(self) -> str:
         return f"RootedBinaryTree({self.to_newick()!r})"
 
@@ -475,11 +464,7 @@ def apply_nni(tree: RootedBinaryTree, triple: NniTriple) -> RootedBinaryTree:
         raise TreeError("triple is not a descending chain b -> c -> e")
     d = tree.sibling(e)
     f = tree.sibling(c)
-    children = {v: tree.children(v) for v in tree.interior_nodes}
-    children[b] = (d, c)
-    children[c] = (e, f)
-    leaf_labels = {v: tree.leaf_label(v) for v in tree.leaves}
-    return RootedBinaryTree(tree.root, children, leaf_labels)
+    return _restrict(tree, tree.root, tree.nodes(), {b: (d, c), c: (e, f)})
 
 
 def nni_triples(tree: RootedBinaryTree) -> list:
@@ -494,55 +479,44 @@ def nni_triples(tree: RootedBinaryTree) -> list:
     return out
 
 
-# -- toric-fiber-product split -------------------------------------------------
+# -- derived trees and the toric-fiber-product split ---------------------------
 
 
-def _fresh_ids(tree: RootedBinaryTree, count: int) -> list:
-    base = max(tree.nodes()) + 1
-    return [base + i for i in range(count)]
-
-
-def _fresh_labels(tree: RootedBinaryTree, count: int) -> list:
-    base = max(tree.leaf_labels) + 1
-    return [base + i for i in range(count)]
+def _restrict(tree: RootedBinaryTree, root: int, nodes, graft: dict):
+    """The tree on ``nodes`` rooted at ``root``, with every node id kept.
+    ``graft`` gives new children to some nodes; each grafted id outside
+    ``nodes`` becomes a leaf labeled max(leaf_labels) + 1, + 2, ... in id
+    order.  The constructor validates the result."""
+    kids, labels = tree._children, tree._leaf_label
+    children = {u: kids[u] for u in nodes if u in kids}
+    leaf_labels = {u: labels[u] for u in nodes if u in labels}
+    fresh = sorted({k for pair in graft.values() for k in pair} - set(nodes))
+    children.update(graft)
+    for i, u in enumerate(fresh, start=max(labels.values()) + 1):
+        leaf_labels[u] = i
+    return RootedBinaryTree(root, children, leaf_labels)
 
 
 def _subtree(tree: RootedBinaryTree, v: int) -> RootedBinaryTree:
-    nodes = tree.subtree_nodes(v)
-    children = {u: tree.children(u) for u in nodes if tree.is_interior(u)}
-    leaf_labels = {u: tree.leaf_label(u) for u in nodes if tree.is_leaf(u)}
-    return RootedBinaryTree(v, children, leaf_labels)
+    return _restrict(tree, v, tree.subtree_nodes(v), {})
 
 
 def _split_at(tree: RootedBinaryTree, v: int):
-    """The two halves of the decomposition at v; node ids are preserved."""
+    """The two halves of the decomposition at v; node ids are preserved and
+    the grafted leaves get the next unused ids."""
+    new = max(tree.nodes()) + 1
     if v == tree.root:
+        # each half keeps one side of the root and a new leaf on the other,
+        # the right side first
         left, right = tree.children(v)
-        halves = []
-        for keep, drop in ((right, left), (left, right)):
-            keep_nodes = tree.subtree_nodes(keep)
-            children = {u: tree.children(u) for u in keep_nodes if tree.is_interior(u)}
-            leaf_labels = {u: tree.leaf_label(u) for u in keep_nodes if tree.is_leaf(u)}
-            (pend,) = _fresh_ids(tree, 1)
-            (pl,) = _fresh_labels(tree, 1)
-            children[v] = (keep, pend)
-            leaf_labels[pend] = pl
-            halves.append(RootedBinaryTree(v, children, leaf_labels))
-        return halves[0], halves[1]
+        return tuple(
+            _restrict(tree, v, tree.subtree_nodes(keep) | {v}, {v: (keep, new)})
+            for keep in (right, left)
+        )
     # non-root: T1 = everything above v with a cherry grafted below v,
     # T2 = the subtree rooted at v.
-    below = tree.subtree_nodes(v) - {v}
-    keep_nodes = set(tree.nodes()) - below
-    children = {u: tree.children(u) for u in keep_nodes if tree.is_interior(u) and u != v}
-    leaf_labels = {u: tree.leaf_label(u) for u in keep_nodes if tree.is_leaf(u)}
-    l1, l2 = _fresh_ids(tree, 2)
-    a1, a2 = _fresh_labels(tree, 2)
-    children[v] = (l1, l2)
-    leaf_labels[l1] = a1
-    leaf_labels[l2] = a2
-    t1 = RootedBinaryTree(tree.root, children, leaf_labels)
-    t2 = _subtree(tree, v)
-    return t1, t2
+    above = (set(tree.nodes()) - tree.subtree_nodes(v)) | {v}
+    return _restrict(tree, tree.root, above, {v: (new, new + 1)}), _subtree(tree, v)
 
 
 def _tfp_node(tree: RootedBinaryTree):

@@ -93,6 +93,18 @@ def caterpillar(n: int) -> RootedBinaryTree:
     return tree_from_shape(s)
 
 
+def canonical_shape(tree):
+    """Nested-tuple shape with children sorted; equal iff same topology."""
+
+    def shape(v):
+        if tree.is_leaf(v):
+            return ()
+        sa, sb = (shape(k) for k in tree.children(v))
+        return (sa, sb) if sa <= sb else (sb, sa)
+
+    return shape(tree.root)
+
+
 def order_ideals(tree):
     """All downward-closed interior subsets (brute force)."""
     interior = list(tree.interior_nodes)
@@ -206,6 +218,22 @@ def fib(n: int) -> int:
     return a
 
 
+def tight_at(facet, point) -> bool:
+    return sum(c * x for c, x in zip(facet.coeffs, point)) == facet.rhs
+
+
+def satisfied_by(facet, point) -> bool:
+    """coeffs . point <= rhs, or = rhs for the root equality."""
+    lhs = sum(c * x for c, x in zip(facet.coeffs, point))
+    if facet.kind == "root_equality":
+        return lhs == facet.rhs
+    return lhs <= facet.rhs
+
+
+def polytope_contains(polytope, point) -> bool:
+    return all(satisfied_by(f, point) for f in polytope.facets)
+
+
 def count_by_box(polytope, m: int) -> int:
     """Brute-force #(Z^dim intersect m*P): every point of the box [0, m]^dim
     tested against the facets of m*P."""
@@ -213,7 +241,8 @@ def count_by_box(polytope, m: int) -> int:
         polytope, facets=tuple(replace(f, rhs=f.rhs * m) for f in polytope.facets)
     )
     return sum(
-        dilate.contains(x) for x in product(range(m + 1), repeat=polytope.dim)
+        polytope_contains(dilate, x)
+        for x in product(range(m + 1), repeat=polytope.dim)
     )
 
 

@@ -11,6 +11,10 @@ from cfnmc.cli import _dumps, _emit, main
 from helpers import FACET_TREE, FIG_TREE
 
 
+# Seven leaves, canonical interior indices 0..5; its one cluster is {2}.
+RTI_TREE = "((((1,2),(3,4)),5),(6,7));"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -214,6 +218,53 @@ class TestDeterminism:
         # report, the certified generator counts and the top-vectors of
         # every 10-leaf shape.
         code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("rti-facets", "--tree", RTI_TREE, "--ideal", ideal),
+                digest,
+            )
+            for ideal, digest in [
+                ("", "c6a82f2f76db1aa251f6c57407be275307932aab8000c5ecaabe243e138b7bca"),
+                ("3", "3919abf50a716ddd5e12a6883052c763c27bcf1f288320ce2f47cf33428de46d"),
+                ("3,4", "f033982eb1ead3a0bbc553559715e22fa9cacf92902de9f49a3c4a45306b90dc"),
+                ("2,3,4", "62c6bb88ac63c88f844d5753870b98b0fbce05fbfbbf8a75c767b00cb09d6f8a"),
+                ("1,2,3,4", "99d128942e5da35836baba8ef48042530132554c24d517a1e3b25db7b07f7b8d"),
+                ("5", "11c7b369ae510ebef5abeed61f66a4d69003a0984189bdfa3845ef7af298ea94"),
+                ("2,3,4,5", "40e7b6412eae36d2b8897bce509d97d1bdaf9f3c3b4b81e37d56afd2dec5f20a"),
+                ("1,2,3,4,5", "ce819fab9408547411bb307456b5240125a75e689c95107dbe60dfca8c1063c5"),
+                ("0,1,2,3,4,5", "f407bf3377bd3e80a328e666c2e9d46b6158c9df4d3a43e6c1de1203b4dcc887"),
+            ]
+        ]
+        + [
+            (
+                ("rti-facets", "--tree", "(1,2);", "--ideal", ""),
+                "75d41270a7d466243a8cde59e8ddf8887ca6a3a22c224f50625ed6859817a58d",
+            ),
+            (
+                ("rti-facets", "--tree", "(1,2);", "--ideal", "0"),
+                "7aa9584c1dd9e71ae266c59750a46d30dcbb833cb9a2ee1d24711a4290a631bd",
+            ),
+            (
+                ("rti-facets", "--tree", "((1,2),3);", "--ideal", ""),
+                "bb646f8171d1539d0554a94a04af566fdd1e399eaddda34ca1e2062119818449",
+            ),
+            (
+                ("facets", "--leaves", "2"),
+                "ae35a1c3db2b83130fe3b00898852a52c5c712204f7701fb3825e42f4a80340e",
+            ),
+        ],
+    )
+    def test_rti_facets_pinned(self, capsys, argv, digest):
+        # Pins every R_T(I) facet family in output order: the root
+        # equality, local, nonneg, adjacency and cluster rows along a chain
+        # of order ideals ("1,2,3,4,5" has both maximal-node adjacency rows
+        # and the root y >= 0 row), and the 2- and 3-leaf degenerate rows.
+        code, out, _ = run(capsys, *argv, "--verify-hull", "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

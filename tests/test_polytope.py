@@ -25,8 +25,11 @@ from helpers import (
     contract_vertex_map,
     named_interior,
     order_ideals,
+    polytope_contains,
     random_newick,
+    satisfied_by,
     spine_tree,
+    tight_at,
     zigzag_order_polytope_vertices,
 )
 
@@ -79,7 +82,7 @@ class TestCorollary:
         for n in range(2, 8):
             for t in enumerate_topologies(n):
                 P = build_RT(t)
-                assert all(P.contains(v) for v in P.vertices)
+                assert all(polytope_contains(P, v) for v in P.vertices)
 
     def test_hull_agreement(self):
         for n in range(2, 7):
@@ -91,7 +94,7 @@ class TestCorollary:
         for t in enumerate_topologies(5):
             P = build_RT(t)
             for f in P.facets:
-                tight = [v for v in P.vertices if f.tight_at(v)]
+                tight = [v for v in P.vertices if tight_at(f, v)]
                 dirs = [
                     [a - b for a, b in zip(v, tight[0])] for v in tight[1:]
                 ]
@@ -242,7 +245,7 @@ class TestOracleSensitivity:
         P = build_RT(t)
         # valid but redundant: sum of all coordinates <= dim
         extra = Inequality((1,) * P.dim, P.dim, "cluster")
-        assert all(extra.satisfied_by(v) for v in P.vertices)
+        assert all(satisfied_by(extra, v) for v in P.vertices)
         broken = replace(P, facets=P.facets + (extra,))
         assert not h_reps_match(broken)
 

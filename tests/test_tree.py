@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -6,6 +8,7 @@ from cfnmc.tree import (
     NniTriple,
     TreeError,
     _split_at,
+    _subtree,
     _tfp_node,
     apply_nni,
     enumerate_clusters,
@@ -19,6 +22,7 @@ from cfnmc.tree import (
 from helpers import (
     CLUSTER_FIG_TREE,
     FIG_TREE,
+    canonical_shape,
     caterpillar,
     named_interior,
     random_newick,
@@ -113,7 +117,7 @@ class TestTopologies:
         ]
 
     def test_shapes_distinct(self):
-        shapes = [t.canonical_shape() for t in enumerate_topologies(7)]
+        shapes = [canonical_shape(t) for t in enumerate_topologies(7)]
         assert len(set(shapes)) == len(shapes)
 
     def test_bruteforce_oracle_n5(self):
@@ -128,7 +132,7 @@ class TestTopologies:
                         out.add((s1, s2) if s1 <= s2 else (s2, s1))
             return out
 
-        assert {t.canonical_shape() for t in enumerate_topologies(5)} == all_shapes(5)
+        assert {canonical_shape(t) for t in enumerate_topologies(5)} == all_shapes(5)
 
     def test_range(self):
         with pytest.raises(TreeError):
@@ -262,10 +266,10 @@ class TestNni:
         b, c = chain[1], chain[2]
         e = next(k for k in t.children(c) if t.is_leaf(k))
         out = apply_nni(t, NniTriple(b, c, e))
-        shapes = {x.canonical_shape() for x in enumerate_topologies(5)}
-        assert out.canonical_shape() in shapes
-        assert out.canonical_shape() != t.canonical_shape()
-        assert out.canonical_shape() == parse_newick(FIG_TREE).canonical_shape()
+        shapes = {canonical_shape(x) for x in enumerate_topologies(5)}
+        assert canonical_shape(out) in shapes
+        assert canonical_shape(out) != canonical_shape(t)
+        assert canonical_shape(out) == canonical_shape(parse_newick(FIG_TREE))
 
     def test_bad_triple(self):
         t = parse_newick(FIG_TREE)
@@ -311,3 +315,26 @@ class TestTfpSplit:
         assert t1.n_leaves + t2.n_leaves == t.n_leaves + 2
         # shared node is the root of the lower half and interior in both
         assert t2.root == v and v in t1.interior_nodes
+
+
+class TestDerivedTrees:
+    def test_derived_trees_pinned(self):
+        # Pins the Newick text, interior preorder, leaf ids and leaf labels
+        # of every split half, subtree and NNI image of every shape with
+        # 2..9 leaves, so node ids and fresh labels stay as they are.
+        def r(t):
+            labels = tuple(t.leaf_label(v) for v in t.leaves)
+            return (t.to_newick(), t.interior_nodes, t.leaves, labels)
+
+        rows = []
+        for n in range(2, 10):
+            for t in enumerate_topologies(n):
+                for v in t.interior_nodes:
+                    if v != t.root or all(t.is_interior(k) for k in t.children(v)):
+                        rows.append(("split", r(t), v, *map(r, _split_at(t, v))))
+                    rows.append(("sub", r(t), v, r(_subtree(t, v))))
+                for tr in nni_triples(t):
+                    rows.append(("nni", r(t), (tr.b, tr.c, tr.e), r(apply_nni(t, tr))))
+        assert len(rows) == 2350
+        digest = "f9da245226e29a18f5653b8a731a5e59d9118a6d3cd65bf95ce9d105e4a39e1e"
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
