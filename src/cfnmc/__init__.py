@@ -39,11 +39,9 @@ from .model import (
 from .paths import (
     classify_maintaining,
     enumerate_topsets,
-    even_labelings,
     is_blocked,
     is_valid_top_vector,
-    labeling_edges,
-    topset_of_edges,
+    path_systems,
     traversability,
 )
 from .polytope import (

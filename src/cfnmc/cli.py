@@ -276,7 +276,15 @@ def cmd_nni_check(args) -> dict:
     out = []
     memo = {}
     for tree in _trees_for(args):
-        for triple in nni_triples(tree):
+        triples = nni_triples(tree)
+        bound = tree.n_leaves - 1
+        if triples and args.dilate > bound:
+            raise TreeError(
+                f"--dilate must be <= n - 1 = {bound} for {tree.to_newick()}: "
+                f"the counts at m = 1..{bound} fix both Ehrhart polynomials, "
+                f"of degree {bound}"
+            )
+        for triple in triples:
             other = apply_nni(tree, triple)
             e = triple.e
             e_name = (

@@ -8,23 +8,15 @@ All arithmetic is integer/Fraction; no floating point.
 
 This is the independent oracle for the closed-form facet descriptions:
 ``polytope.h_reps_match`` runs it for ``survey`` and ``--verify-hull``, and
-the tests run it directly.  Nothing else depends on it.
+the tests run it directly.  Nothing else depends on it.  The plain facet
+list of full-dimensional input, which only the tests use, is
+``hull_facets`` in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-
-class DegenerateInputError(ValueError):
-    """Input points are not full-dimensional; carries the affine hull."""
-
-    def __init__(self, equalities):
-        super().__init__(
-            f"points are not full-dimensional ({len(equalities)} affine equalities)"
-        )
-        self.equalities = equalities
 
 
 def _primitive(vec):
@@ -224,17 +216,6 @@ def hull_h_description(points):
             full[j] = val
         facets.append((tuple(full), rhs))
     return equalities, sorted(facets), pivots, relations
-
-
-def hull_facets(points):
-    """Irredundant facet list of conv(points) as (coeffs, rhs) pairs.
-
-    Raises DegenerateInputError for lower-dimensional input.
-    """
-    equalities, facets, _, _ = hull_h_description(points)
-    if equalities:
-        raise DegenerateInputError(equalities)
-    return facets
 
 
 def reduce_to_chart(coeffs, rhs, pivots, relations):

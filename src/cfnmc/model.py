@@ -5,7 +5,9 @@ States live in Z_2 and transitions along an edge of length t have matrix
 [[(1+e^{-2at})/2, (1-e^{-2at})/2], [(1-e^{-2at})/2, (1+e^{-2at})/2]].  Node
 heights (root highest, leaves at 0) make the clock constraint structural.
 The sign (Hadamard) transform diagonalizes the model into the monomial
-parametrization whose kernel the ideal module constructs.
+parametrization whose kernel the ideal module constructs.  Its entries
+collapse onto one class coordinate per top-set, taken for each even
+labeling from ``paths.path_systems``; the model has no path rule of its own.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cache
 from itertools import product
 from operator import add, sub
 
-from .paths import topset_key
+from .paths import path_systems, topset_key
 from .tree import RootedBinaryTree, TreeError
 
 
@@ -176,28 +178,11 @@ def _sign_transform(values: list) -> list:
 def _class_table(tree: RootedBinaryTree) -> tuple:
     """(odd, even) for a tree: the odd leaf masks, and (mask, top-set key of
     its path system) for each even one, all in mask order, which is the
-    order of the labelings in _all_labelings.  A node is a top when the
-    mask meets the leaves below each of its children an odd number of
-    times (see paths.labeling_edges)."""
-    below = tree.leaf_masks().below
-    tops = []
-    for v in tree.interior_nodes:
-        a, b = tree.children(v)
-        tops.append((1 << v, below[a], below[b]))
-    odd, even = [], []
-    keys = {}
-    for mask in range(1 << tree.n_leaves):
-        if mask.bit_count() & 1:
-            odd.append(mask)
-            continue
-        topset = 0
-        for bit, left, right in tops:
-            if (mask & left).bit_count() & (mask & right).bit_count() & 1:
-                topset |= bit
-        if topset not in keys:
-            keys[topset] = topset_key(tree, topset)
-        even.append((mask, keys[topset]))
-    return odd, even
+    order of the labelings in _all_labelings."""
+    systems = path_systems(tree)
+    keys = {tops: topset_key(tree, tops) for tops in {t for _, _, t in systems}}
+    odd = [mask for mask in range(1 << tree.n_leaves) if mask.bit_count() & 1]
+    return odd, [(mask, keys[tops]) for mask, _, tops in systems]
 
 
 def _class_coordinates(qhat: list, table: tuple, tol: float) -> dict:

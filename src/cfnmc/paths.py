@@ -1,10 +1,13 @@
-"""Even leaf labelings, top-sets and NNI predicates.
+"""Path systems of even leaf labelings, top-sets and NNI predicates.
 
 A 0/1 labeling of the leaves with even sum determines a unique edge-disjoint
 system of leaf-to-leaf paths: an edge carries a path exactly when the number
 of 1-labeled leaves below it is odd.  The top-set of the system is the set of
 interior nodes whose two child edges both lie in a path; its indicator vector
-(in canonical interior order) is a vertex of the model polytope.
+(in canonical interior order) is a vertex of the model polytope.  That rule
+lives in one function, ``path_systems``, which gives the used edges and the
+top-set of every even labeling: the vertices of R_T(I) and the class
+coordinates of the model are both read from it.
 
 A top-set, like an edge set, is an ``int`` bitmask keyed by node id: bit v
 is set iff node v is a top (for edges: iff the edge above v is used).  Split
@@ -16,56 +19,48 @@ the canonical bit of each node from the tree's ``LeafMasks`` into a
 canonical mask (the root at the most significant of n-1 bits) and formats
 that mask as a binary numeral; ``enumerate_topsets`` builds the canonical
 mask next to each top-set and sorts by it.  A labeling is likewise read as
-the mask of its 1-labeled leaves, and the edge above v is used iff that mask
-meets the leaves below v in an odd number of bits.
+the mask of its 1-labeled leaves, in the bit order of ``LeafMasks.below``.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 from .tree import NniTriple, RootedBinaryTree, TreeError
 
 
-def even_labelings(n: int):
-    """All 2^(n-1) even-sum labelings of n leaves as bit tuples, lexicographic."""
-    if n < 2:
-        raise TreeError("need n >= 2")
-    for bits in product((0, 1), repeat=n):
-        if sum(bits) % 2 == 0:
-            yield bits
+def path_systems(tree: RootedBinaryTree) -> list:
+    """(leaf mask, used-edge mask, top-set) of the path system of every even
+    leaf labeling, in mask order.  The leaf mask holds the 1-labeled leaves
+    in the bit order of ``LeafMasks.below``; the edge above v is used iff an
+    odd number of them lie below v, and v is a top iff both of its child
+    edges are used.  At every interior vertex 0 or 2 incident edges are
+    used, so the used edges decompose uniquely into paths.
 
-
-def labeling_edges(tree: RootedBinaryTree, labeling) -> int:
-    """Mask of the edges used by the path system of an even labeling (bit i
-    is the leaf with the i-th smallest label): e(v) is used iff the
-    1-labeled leaves below v have odd count.  At every interior vertex 0 or
-    2 incident edges are used, so the used edges decompose uniquely into
-    paths."""
-    if len(labeling) != tree.n_leaves:
-        raise TreeError(
-            f"labeling length {len(labeling)} != n_leaves {tree.n_leaves}"
-        )
-    if sum(labeling) % 2 != 0:
-        raise TreeError(f"labeling {tuple(labeling)} has odd parity")
-    mask = 0  # the 1-labeled leaves, in the bit order of LeafMasks.below
-    for bit in labeling:
-        mask = mask << 1 | bit
-    edges = 0
-    for v, leaves in enumerate(tree.leaf_masks().below):
-        if (mask & leaves).bit_count() & 1:  # never the root: mask is even
-            edges |= 1 << v
-    return edges
-
-
-def topset_of_edges(tree: RootedBinaryTree, edges: int) -> int:
-    """The interior nodes whose two child edges both lie in ``edges``."""
-    out = 0
-    for v in tree.interior_nodes:
+    Tabulated bottom-up: each node holds the systems of the assignments of
+    the leaves below it, split by parity, with the edges and tops of its
+    subtree.  A node joins its children's lists in pairs: two odd children
+    make it a top, one odd child uses the edge above it.
+    """
+    below = tree.leaf_masks().below
+    systems = {leaf: ([(0, 0, 0)], [(below[leaf], 1 << leaf, 0)]) for leaf in tree.leaves}
+    for v in reversed(tree.interior_nodes):  # children before parents
         a, b = tree.children(v)
-        if edges >> a & edges >> b & 1:
-            out |= 1 << v
-    return out
+        (a_even, a_odd), (b_even, b_odd) = systems.pop(a), systems.pop(b)
+        bit = 1 << v
+        systems[v] = (
+            _join(a_even, b_even) + _join(a_odd, b_odd, tops=bit),
+            _join(a_even, b_odd, edges=bit) + _join(a_odd, b_even, edges=bit),
+        )
+    return sorted(systems[tree.root][0])
+
+
+def _join(left, right, edges: int = 0, tops: int = 0) -> list:
+    """Every pair of systems of two sibling subtrees, merged, with ``edges``
+    and ``tops`` added."""
+    return [
+        (ml | mr, el | er | edges, tl | tr | tops)
+        for ml, el, tl in left
+        for mr, er, tr in right
+    ]
 
 
 def topset_bits(tree: RootedBinaryTree, topset: int) -> tuple:

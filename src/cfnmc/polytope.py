@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import hull as _hull
-from .paths import even_labelings, labeling_edges, topset_of_edges
+from .paths import path_systems
 from .tree import (
     RootedBinaryTree,
     enumerate_clusters,
@@ -117,11 +117,10 @@ def build_RTI(tree: RootedBinaryTree, ideal) -> Polytope:
     system and y_v = 1 iff the edge above v is used."""
     ideal = validate_order_ideal(tree, ideal)
     coords = rti_coordinates(tree, ideal)
-    verts = set()
-    for labeling in even_labelings(tree.n_leaves):
-        edges = labeling_edges(tree, labeling)
-        mask = {"x": topset_of_edges(tree, edges), "y": edges}
-        verts.add(tuple(mask[kind] >> v & 1 for kind, v in coords))
+    verts = {
+        tuple((tops if kind == "x" else edges) >> v & 1 for kind, v in coords)
+        for _, edges, tops in path_systems(tree)
+    }
     facets = tuple(facets_RTI(tree, ideal))
     labels = tuple(_coord_label(tree, c) for c in coords)
     return Polytope(len(coords), tuple(sorted(verts)), facets, labels)

@@ -12,10 +12,10 @@ Derived trees (NNI images, fiber-product split halves, subtrees) are all built
 by one restriction, ``_restrict``, which keeps the integer ids of the nodes it
 keeps; that is what makes coordinates comparable across related trees.
 
-Each tree builds one ``LeafMasks`` table on first use: the leaves below every
-node and the canonical bit of every interior node, both as ints.  Path
-systems, top-set keys and the model's class table read it instead of walking
-the tree.
+The constructor builds each tree's ``LeafMasks`` table: the leaves below
+every node, filled by the one bottom-up pass that also fixes the child
+order, and the canonical bit of every interior node, both as ints.  Path
+systems and top-set keys read it instead of walking the tree.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class RootedBinaryTree:
         "_children",
         "_parent",
         "_leaf_label",
-        "_min_leaf",
         "_interior",
         "_interior_index",
         "_masks",
@@ -120,17 +119,28 @@ class RootedBinaryTree:
             raise TreeError("a node cannot be both interior and leaf")
         if root not in self._children:
             raise TreeError("root must be interior (need at least 2 leaves)")
+        if min(all_nodes) < 0:  # ids index LeafMasks and are bits of masks
+            raise TreeError("node ids must be non-negative")
 
-        # Min leaf label per subtree, used for the canonical left/right order.
-        self._min_leaf = {}
-        self._fill_min_leaf(root)
-        self._children = {
-            v: tuple(sorted(kids, key=lambda k: self._min_leaf[k]))
-            for v, kids in self._children.items()
-        }
+        # One bottom-up pass fills ``below`` (LeafMasks) and orders each
+        # node's children by descending mask: the leaf of smallest label holds
+        # the highest bit, so the left child is the one whose subtree contains
+        # the smallest leaf label.
+        n = len(self._leaf_label)
+        below = [0] * (max(all_nodes) + 1)
+        for i, leaf in enumerate(sorted(self._leaf_label, key=self._leaf_label.get)):
+            below[leaf] = 1 << (n - 1 - i)
+        order = [root]
+        for v in order:  # grows as it is read: breadth-first
+            order.extend(self._children.get(v, ()))
+        for v in reversed(order):  # children before parents
+            if v in self._children:
+                a, b = self._children[v]
+                below[v] = below[a] | below[b]
+                if below[a] < below[b]:
+                    self._children[v] = (b, a)
 
-        # Preorder walk: left child is popped first, so self._interior comes
-        # out in canonical preorder.
+        # Canonical preorder walk: left child is popped first.
         interior = []
         stack = [root]
         while stack:
@@ -141,24 +151,15 @@ class RootedBinaryTree:
                 stack += (right, left)
         self._interior = tuple(interior)
         self._interior_index = {v: i for i, v in enumerate(self._interior)}
-        self._masks = None
-        self.n_leaves = len(self._leaf_label)
-        if len(self._interior) != self.n_leaves - 1:
+        self.n_leaves = n
+        if len(self._interior) != n - 1:
             raise TreeError("interior node count must be n_leaves - 1")
-
-    def _fill_min_leaf(self, root: int) -> None:
-        order = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(self._children.get(v, ()))
-        for v in reversed(order):
-            if v in self._leaf_label:
-                self._min_leaf[v] = self._leaf_label[v]
-            else:
-                a, b = self._children[v]
-                self._min_leaf[v] = min(self._min_leaf[a], self._min_leaf[b])
+        canonical = [0] * len(below)
+        for i, v in enumerate(self._interior):
+            canonical[v] = 1 << (n - 2 - i)
+        self._masks = LeafMasks(
+            tuple(below), tuple(canonical), sum(1 << v for v in self._interior)
+        )
 
     # -- basic queries ---------------------------------------------------
 
@@ -188,22 +189,7 @@ class RootedBinaryTree:
         return self._interior
 
     def leaf_masks(self) -> LeafMasks:
-        """The tree's LeafMasks, built on the first call."""
-        if self._masks is None:
-            n = self.n_leaves
-            size = max(self.nodes()) + 1
-            below = [0] * size
-            for i, leaf in enumerate(self.leaves):
-                below[leaf] = 1 << (n - 1 - i)
-            for v in reversed(self._interior):  # children before parents
-                a, b = self._children[v]
-                below[v] = below[a] | below[b]
-            canonical = [0] * size
-            for i, v in enumerate(self._interior):
-                canonical[v] = 1 << (n - 2 - i)
-            self._masks = LeafMasks(
-                tuple(below), tuple(canonical), sum(1 << v for v in self._interior)
-            )
+        """The tree's LeafMasks, built by the constructor."""
         return self._masks
 
     def interior_index(self, v: int) -> int:

@@ -13,6 +13,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from hypothesis import strategies as st
 
 from cfnmc.ehrhart import _blocked
+from cfnmc.hull import hull_h_description
 from cfnmc.ideal import (
     LiftableOrder,
     MarkedBinomial,
@@ -29,7 +30,6 @@ from cfnmc.paths import (
     enumerate_topsets,
     topset_bits,
     topset_key,
-    topset_of_edges,
 )
 from cfnmc.polytope import rti_coordinates
 from cfnmc.tree import (
@@ -160,20 +160,36 @@ def topsets_by_labelings(tree) -> set:
 
 
 def labeling_edges_by_parity(tree, labeling) -> int:
-    """paths.labeling_edges by a parity dict filled bottom-up: a leaf's
-    parity is its label, an interior node's the XOR of its children's, and
-    the edge above every non-root node of odd parity is used."""
-    if len(labeling) != tree.n_leaves:
-        raise TreeError(
-            f"labeling length {len(labeling)} != n_leaves {tree.n_leaves}"
-        )
-    if sum(labeling) % 2 != 0:
-        raise TreeError(f"labeling {tuple(labeling)} has odd parity")
+    """The used edges of paths.path_systems by a parity dict filled
+    bottom-up: a leaf's parity is its label, an interior node's the XOR of
+    its children's, and the edge above every non-root node of odd parity is
+    used."""
     parity = dict(zip(tree.leaves, labeling))
     for v in reversed(tree.interior_nodes):  # children before parents
         a, b = tree.children(v)
         parity[v] = parity[a] ^ parity[b]
     return sum(1 << v for v, bit in parity.items() if bit and v != tree.root)
+
+
+def topset_of_edges(tree, edges: int) -> int:
+    """The interior nodes whose two child edges both lie in ``edges``."""
+    return sum(
+        1 << v
+        for v in tree.interior_nodes
+        if all(edges >> k & 1 for k in tree.children(v))
+    )
+
+
+def children_by_min_label(tree) -> dict:
+    """Each interior node's children sorted by the smallest leaf label in
+    their subtrees, the constructor's left-right order."""
+
+    def min_label(v):
+        return min(tree.leaf_label(u) for u in tree.subtree_nodes(v) if tree.is_leaf(u))
+
+    return {
+        v: tuple(sorted(tree.children(v), key=min_label)) for v in tree.interior_nodes
+    }
 
 
 def topset_key_by_scan(tree, topset: int) -> str:
@@ -255,6 +271,29 @@ def count_by_vertex_sums(polytope, m: int) -> int:
     for combo in combinations_with_replacement(polytope.vertices, m):
         pts.add(tuple(map(sum, zip(*combo))))
     return len(pts)
+
+
+# -- hull --------------------------------------------------------------------
+
+
+class DegenerateInputError(ValueError):
+    """Input points are not full-dimensional; carries the affine hull."""
+
+    def __init__(self, equalities):
+        super().__init__(
+            f"points are not full-dimensional ({len(equalities)} affine equalities)"
+        )
+        self.equalities = equalities
+
+
+def hull_facets(points):
+    """Irredundant facet list of conv(points) as (coeffs, rhs) pairs, by
+    hull.hull_h_description.  Raises DegenerateInputError for
+    lower-dimensional input."""
+    equalities, facets, _, _ = hull_h_description(points)
+    if equalities:
+        raise DegenerateInputError(equalities)
+    return facets
 
 
 # -- polytope maps: contraction and the caterpillar's zig-zag order polytope --

@@ -114,11 +114,15 @@ class TestExitCodes:
             assert code == 2 and out == "" and err.startswith("error:"), argv
 
     def test_dilate_below_one(self, capsys):
-        for dilate in ("0", "-1"):
+        # below 1, and above n - 1, where the counts at m = 1..n-1 already
+        # fix both Ehrhart polynomials
+        for dilate in ("0", "-1", "4"):
             code, out, err = run(
                 capsys, "nni-check", "--tree", "((1,2),(3,4));", "--dilate", dilate
             )
             assert code == 2 and out == "" and err.startswith("error:")
+        code, _, _ = run(capsys, "nni-check", "--tree", "((1,2),(3,4));", "--dilate", "3")
+        assert code == 0
 
 
 class TestDeterminism:

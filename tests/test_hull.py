@@ -4,6 +4,8 @@ import pytest
 
 from cfnmc import hull as H
 
+from helpers import DegenerateInputError, hull_facets
+
 
 class TestRref:
     def test_identity(self):
@@ -32,13 +34,13 @@ class TestAffine:
 class TestFacets:
     def test_cube(self):
         pts = list(product((0, 1), repeat=3))
-        assert len(H.hull_facets(pts)) == 6
+        assert len(hull_facets(pts)) == 6
 
     def test_octahedron(self):
         pts = [
             (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
         ]
-        facets = H.hull_facets(pts)
+        facets = hull_facets(pts)
         assert len(facets) == 8
         assert all(abs(c) == 1 for coeffs, _ in facets for c in coeffs)
 
@@ -46,19 +48,19 @@ class TestFacets:
         pts = [tuple(int(i == j) for j in range(4)) for i in range(4)] + [
             (0, 0, 0, 0)
         ]
-        assert len(H.hull_facets(pts)) == 5
+        assert len(hull_facets(pts)) == 5
 
     def test_interior_points_ignored(self):
         pts = list(product((0, 2), repeat=2)) + [(1, 1)]
-        assert len(H.hull_facets(pts)) == 4
+        assert len(hull_facets(pts)) == 4
 
     def test_degenerate_raises(self):
-        with pytest.raises(H.DegenerateInputError):
-            H.hull_facets([(0, 0), (1, 1), (2, 2)])
+        with pytest.raises(DegenerateInputError):
+            hull_facets([(0, 0), (1, 1), (2, 2)])
 
     def test_facets_valid_and_tight(self):
         pts = [(0, 0), (3, 0), (0, 3), (1, 2), (2, 2)]
-        for coeffs, rhs in H.hull_facets(pts):
+        for coeffs, rhs in hull_facets(pts):
             vals = [sum(c * x for c, x in zip(coeffs, p)) for p in pts]
             assert max(vals) == rhs
             assert sum(1 for v in vals if v == rhs) >= 2

@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 from cfnmc.paths import (
     classify_maintaining,
     enumerate_topsets,
-    even_labelings,
     is_blocked,
     is_valid_top_vector,
-    labeling_edges,
+    path_systems,
     topset_key,
-    topset_of_edges,
     traversability,
     vertex_bijection,
 )
@@ -32,61 +30,67 @@ from helpers import (
     random_newick,
     sorted_by_index_tuples,
     topset_key_by_scan,
+    topset_of_edges,
     topsets_by_labelings,
 )
 
 PARAM_TREE = "(((1,2),(3,4)),(5,6));"  # six-leaf tree of the transform example
 
 
+def labeling_of(tree, mask) -> tuple:
+    """The labeling whose 1-labeled leaves have the leaf mask: the leaf with
+    the i-th smallest label is bit n-1-i."""
+    n = tree.n_leaves
+    return tuple(mask >> (n - 1 - i) & 1 for i in range(n))
+
+
+def systems_by_labeling(tree) -> dict:
+    """path_systems keyed by labeling tuple, in mask order."""
+    return {labeling_of(tree, m): (edges, tops) for m, edges, tops in path_systems(tree)}
+
+
+def edges(tree, labeling) -> int:
+    return systems_by_labeling(tree)[tuple(labeling)][0]
+
+
 def tops(tree, labeling) -> int:
-    return topset_of_edges(tree, labeling_edges(tree, labeling))
+    return systems_by_labeling(tree)[tuple(labeling)][1]
 
 
 # Every shape on 2..9 leaves in tier-1, and on 10 leaves with -m slow.
 LEAVES_UP_TO_TEN = [*range(2, 10), pytest.param(10, marks=pytest.mark.slow)]
 
 
-def outcome(fn, *args):
-    """fn's value, or the message of the TreeError it raised."""
-    try:
-        return fn(*args)
-    except TreeError as exc:
-        return f"TreeError: {exc}"
-
-
 class TestEvenLabelings:
     def test_small(self):
-        assert list(even_labelings(2)) == [(0, 0), (1, 1)]
-        assert list(even_labelings(3)) == [
+        # the even labelings in lexicographic order, which is mask order
+        assert list(systems_by_labeling(parse_newick("(1,2);"))) == [(0, 0), (1, 1)]
+        assert list(systems_by_labeling(parse_newick("((1,2),3);"))) == [
             (0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0),
         ]
 
     def test_count_and_membership(self):
-        labs = list(even_labelings(6))
+        labs = list(systems_by_labeling(parse_newick(PARAM_TREE)))
         assert len(labs) == 32
         assert (1, 1, 1, 0, 1, 0) in labs
-
-    def test_odd_rejected(self):
-        with pytest.raises(TreeError):
-            labeling_edges(parse_newick("((1,2),3);"), (1, 0, 0))
 
 
 class TestPathSystems:
     def test_empty(self):
         t = parse_newick(FIG_TREE)
-        assert labeling_edges(t, (0,) * 5) == 0
+        assert edges(t, (0,) * 5) == 0
 
     def test_two_leaf(self):
         # one path through the root: both leaf edges used
         t = parse_newick("(1,2);")
-        assert labeling_edges(t, (1, 1)) == sum(1 << v for v in t.leaves)
+        assert edges(t, (1, 1)) == sum(1 << v for v in t.leaves)
 
     def test_param_example_bold_edges(self):
         # the worked example: labeling (1,1,1,0,1,0) uses the edges above
         # leaves 1,2,3,5 and above v2 (not v1's other side) etc.
         t = parse_newick(PARAM_TREE)
         names = named_interior(t, "abcde")  # v1..v5 in canonical order
-        edges = labeling_edges(t, (1, 1, 1, 0, 1, 0))
+        used = edges(t, (1, 1, 1, 0, 1, 0))
         leaf = {t.leaf_label(v): v for v in t.leaves}
         want = {
             leaf[1], leaf[2],          # cherry path under v3
@@ -94,9 +98,9 @@ class TestPathSystems:
             names["b"],                # v2 up to v1
             names["e"], leaf[5],       # right: v5 down to leaf 5
         }
-        assert edges == sum(1 << v for v in want)
+        assert used == sum(1 << v for v in want)
         # two paths: four leaf endpoints
-        assert sum(edges >> v & 1 for v in t.leaves) == 4
+        assert sum(used >> v & 1 for v in t.leaves) == 4
 
     def test_endpoints_are_marked_leaves(self):
         # degree property: a leaf's edge is used iff the leaf is labeled 1,
@@ -104,38 +108,33 @@ class TestPathSystems:
         # are disjoint paths ending exactly at the 1-labeled leaves
         for n in range(2, 7):
             for t in enumerate_topologies(n):
-                for lab in even_labelings(n):
-                    edges = labeling_edges(t, lab)
-                    assert [edges >> v & 1 for v in t.leaves] == list(lab)
+                for lab, (used, _) in systems_by_labeling(t).items():
+                    assert [used >> v & 1 for v in t.leaves] == list(lab)
                     for v in t.interior_nodes:
                         incident = list(t.children(v))
                         if v != t.root:
                             incident.append(v)
-                        assert sum(edges >> k & 1 for k in incident) in (0, 2)
-
-    def test_length_mismatch(self):
-        t = parse_newick(FIG_TREE)
-        with pytest.raises(TreeError):
-            labeling_edges(t, (1, 1))
+                        assert sum(used >> k & 1 for k in incident) in (0, 2)
 
     @pytest.mark.parametrize("n", LEAVES_UP_TO_TEN)
     def test_leaf_masks_equal_parity_walk(self, n):
+        # every even mask once, in order, with the parity walk's edges and
+        # tops
+        even = [m for m in range(1 << n) if not m.bit_count() % 2]
         for t in enumerate_topologies(n):
-            for lab in even_labelings(n):
-                assert labeling_edges(t, lab) == labeling_edges_by_parity(t, lab)
+            systems = path_systems(t)
+            assert [m for m, _, _ in systems] == even
+            for m, used, top in systems:
+                want = labeling_edges_by_parity(t, labeling_of(t, m))
+                assert (used, top) == (want, topset_of_edges(t, want)), t.to_newick()
 
     @settings(max_examples=200, deadline=None)
     @given(random_newick(10).map(parse_newick), st.data())
     def test_random_labelings_against_parity_walk(self, t, data):
-        # odd sums and wrong lengths included: both raise the same error
-        n = data.draw(st.sampled_from([t.n_leaves] * 4 + [t.n_leaves - 1, t.n_leaves + 1]))
-        lab = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        got = outcome(labeling_edges, t, lab)
-        assert got == outcome(labeling_edges_by_parity, t, lab)
-        if n != t.n_leaves:
-            assert got.startswith("TreeError: labeling length")
-        elif sum(lab) % 2:
-            assert got.startswith("TreeError: labeling (") and got.endswith("odd parity")
+        # random labels and child orders: the leaf bits follow the labels
+        m, used, top = data.draw(st.sampled_from(path_systems(t)))
+        want = labeling_edges_by_parity(t, labeling_of(t, m))
+        assert (used, top) == (want, topset_of_edges(t, want))
 
 
 class TestTopVectors:
@@ -197,11 +196,11 @@ class TestTopVectors:
         assert topset_key(t, mask) == topset_key_by_scan(t, mask)
 
     def test_fiber_sizes_sum(self):
-        for n in range(2, 8):
+        # the path systems' top-sets are exactly the enumerated ones
+        for n in range(2, 10):
             for t in enumerate_topologies(n):
                 sizes = {}
-                for lab in even_labelings(n):
-                    s = tops(t, lab)
+                for _, _, s in path_systems(t):
                     sizes[s] = sizes.get(s, 0) + 1
                 assert sum(sizes.values()) == 2 ** (n - 1)
                 assert sorted(sizes) == sorted(enumerate_topsets(t))

@@ -20,9 +20,11 @@ from cfnmc.tree import TreeError, enumerate_clusters, enumerate_topologies, pars
 from helpers import (
     FACET_TREE,
     FIG_TREE,
+    DegenerateInputError,
     caterpillar,
     caterpillar_zigzag_map,
     contract_vertex_map,
+    hull_facets,
     named_interior,
     order_ideals,
     polytope_contains,
@@ -104,29 +106,29 @@ class TestCorollary:
 
 class TestHullOracle:
     def test_unit_square(self):
-        facets = H.hull_facets([(0, 0), (1, 0), (0, 1), (1, 1)])
+        facets = hull_facets([(0, 0), (1, 0), (0, 1), (1, 1)])
         assert len(facets) == 4
 
     def test_three_leaf_rt(self):
         t = parse_newick("((1,2),3);")
-        got = set(H.hull_facets(build_RT(t).vertices))
+        got = set(hull_facets(build_RT(t).vertices))
         assert got == {((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)}
 
     def test_facet_tree_matches_corollary(self):
         t = parse_newick(FACET_TREE)
         P = build_RT(t)
-        oracle = set(H.hull_facets(P.vertices))
+        oracle = set(hull_facets(P.vertices))
         claimed = {(f.coeffs, f.rhs) for f in map(Inequality.normalized, P.facets)}
         assert oracle == claimed
 
     def test_degenerate_reported(self):
-        with pytest.raises(H.DegenerateInputError) as err:
-            H.hull_facets([(0, 0, 0), (1, 1, 0), (2, 2, 0)])
+        with pytest.raises(DegenerateInputError) as err:
+            hull_facets([(0, 0, 0), (1, 1, 0), (2, 2, 0)])
         assert err.value.equalities
 
     def test_cross_polytope(self):
         pts = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-        assert len(H.hull_facets(pts)) == 8
+        assert len(hull_facets(pts)) == 8
 
 
 class TestRti:

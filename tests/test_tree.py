@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from cfnmc.tree import (
     NewickError,
     NniTriple,
+    RootedBinaryTree,
     TreeError,
     _split_at,
     _subtree,
@@ -24,6 +25,7 @@ from helpers import (
     FIG_TREE,
     canonical_shape,
     caterpillar,
+    children_by_min_label,
     named_interior,
     random_newick,
     spine_tree,
@@ -73,6 +75,22 @@ class TestParsing:
         assert clades(back) == clades(t)
         assert t.n_leaves == text.count(",") + 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(random_newick(10).map(parse_newick))
+    def test_child_order_is_min_label_order(self, t):
+        # random labels and child orders: the left child is the one whose
+        # subtree holds the smallest leaf label
+        assert {v: t.children(v) for v in t.interior_nodes} == children_by_min_label(t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_newick(10).map(parse_newick))
+    def test_leaf_masks_hold_subtree_leaves(self, t):
+        # the leaf with the smallest label at the highest bit
+        bit = {leaf: 1 << (t.n_leaves - 1 - i) for i, leaf in enumerate(t.leaves)}
+        below = t.leaf_masks().below
+        for v in t.nodes():
+            assert below[v] == sum(bit.get(u, 0) for u in t.subtree_nodes(v))
+
     def test_internal_labels_ignored(self):
         t = parse_newick("((1,2)anc,3)root;")
         assert t.to_newick() == "((1,2),3);"
@@ -97,6 +115,12 @@ class TestParsing:
     def test_errors(self, bad):
         with pytest.raises(NewickError):
             parse_newick(bad)
+
+    def test_negative_node_id_rejected(self):
+        # a leaf id of -1 would index the last LeafMasks slot and order the
+        # children by a wrong mask
+        with pytest.raises(TreeError, match="non-negative"):
+            RootedBinaryTree(2, {2: (-1, 1), 1: (0, 3)}, {-1: 1, 0: 2, 3: 3})
 
     def test_error_position_reported(self):
         with pytest.raises(NewickError) as err:
