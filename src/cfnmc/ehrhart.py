@@ -1,8 +1,9 @@
 """Lattice-point counting, Ehrhart interpolation, volume, and NNI audits.
 
 Counts are exact Python integers: a transfer-matrix sweep over the
-coordinates counts the lattice points of every dilate, and interpolation
-runs in Fractions.
+coordinates counts the lattice points of every dilate.  The Ehrhart
+polynomial is read off the integer forward differences of the counts
+(Newton's form); only its power-basis coefficients are Fractions.
 """
 
 from __future__ import annotations
@@ -141,36 +142,24 @@ def count_lattice_points(polytope: Polytope, m: int) -> int:
 
 
 def ehrhart_polynomial(polytope: Polytope) -> EhrhartPolynomial:
-    """Exact interpolation through m = 0..dim, verified at m = dim + 1."""
+    """Newton's form sum D_k * C(m, k) through m = 0..dim, with D_k the k-th
+    forward difference of the counts at 0 (D_dim is the normalized volume),
+    verified at m = dim + 1: the counts fit degree dim iff D_(dim+1) = 0."""
     d = polytope.dim
     counts = [count_lattice_points(polytope, m) for m in range(d + 2)]
-    coeffs = _lagrange(list(range(d + 1)), counts[: d + 1])
-    poly = EhrhartPolynomial(tuple(coeffs), tuple(counts))
-    if poly(d + 1) != counts[d + 1]:
-        raise ValueError(
-            "interpolation failed its out-of-sample check; counting bug"
-        )
-    return poly
-
-
-def _lagrange(xs, ys):
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            denom *= xi - xj
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] -= c * xj
-                new[k + 1] += c
-            basis = new
-        for k, c in enumerate(basis):
-            coeffs[k] += Fraction(yi) * c / denom
-    return coeffs
+    diffs, row = [], counts
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    if diffs.pop():
+        raise ValueError("interpolation failed its out-of-sample check; counting bug")
+    coeffs = [Fraction(0)] * (d + 1)
+    falling = [1]  # m(m-1)...(m-k+1) in the power basis, ascending degree
+    for k, diff in enumerate(diffs):
+        for j, c in enumerate(falling):
+            coeffs[j] += Fraction(diff * c, factorial(k))
+        falling = [a - k * b for a, b in zip([0, *falling], [*falling, 0])]
+    return EhrhartPolynomial(tuple(coeffs), tuple(counts))
 
 
 def normalized_volume(polytope: Polytope) -> int:

@@ -317,7 +317,8 @@ def groebner_verify(matrix: ToricMatrix, gens, order: LiftableOrder, volume: int
     exactly when the clique complex of the column pairs that are not
     initials has volume facets, all of len(matrix.rows) columns, and the
     first has determinant +-1, as then all or none do (Sturmfels, Gröbner
-    Bases and Convex Polytopes, ch. 8)."""
+    Bases and Convex Polytopes, ch. 8).  So the facets are counted, and only
+    the first is kept."""
     if not all(
         kernel_member(matrix, g) and len(g.plus) == len(g.minus) == 2 and g.initial_squarefree()
         for g in gens
@@ -328,13 +329,15 @@ def groebner_verify(matrix: ToricMatrix, gens, order: LiftableOrder, volume: int
     for a, b in (g.plus for g in gens):
         adj[index[a]] &= ~(1 << index[b])
         adj[index[b]] &= ~(1 << index[a])
-    facets = []
+    facets = 0
     for clique in _maximal_cliques(adj):
         if clique.bit_count() != len(matrix.rows):
             return False
-        facets.append(clique)
-    det = _determinant([[x for i, x in enumerate(r) if facets[0] >> i & 1] for r in matrix.rows])
-    return len(facets) == volume and abs(det) == 1
+        if not facets:
+            first = clique
+        facets += 1
+    det = _determinant([[x for i, x in enumerate(r) if first >> i & 1] for r in matrix.rows])
+    return facets == volume and abs(det) == 1
 
 
 def _maximal_cliques(adj):
@@ -387,20 +390,15 @@ def reducedness_report(gens) -> dict:
     the construction makes no reducedness claim.  ``violations`` counts the
     (term, other position in gens) pairs at fault.
 
-    The initials are counted once by monomial; each term then looks up its
-    distinct sub-multisets of the degrees the initials have (just the term
-    itself at its own degree), and a generator's own initial is left out
-    of the counts for its terms."""
+    Every term must be a quadric (``TreeError`` otherwise), so an initial
+    divides a term only when the two are equal: the initials are counted
+    once by monomial, and a generator's own initial is left out of the
+    counts for its terms."""
     rules = _marked_rules(gens)
+    if any(len(term) != 2 for rule in rules for term in rule):
+        raise TreeError("reducedness is checked on quadrics only")
     count = Counter(ini for ini, _ in rules)
-    degrees = {len(ini) for ini in count}
-    violations = 0
-    for ini, tail in rules:
-        for term in (ini, tail):
-            for d in degrees:
-                subs = (term,) if d == len(term) else set(combinations(term, d))
-                for sub in subs:
-                    violations += count.get(sub, 0) - (sub == ini)
+    violations = sum(count[ini] - 1 + count[tail] - (tail == ini) for ini, tail in rules)
     return {"reduced": not violations, "violations": violations}
 
 

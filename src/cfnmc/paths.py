@@ -38,11 +38,12 @@ def path_systems(tree: RootedBinaryTree) -> list:
     Tabulated bottom-up: each node holds the systems of the assignments of
     the leaves below it, split by parity, with the edges and tops of its
     subtree.  A node joins its children's lists in pairs: two odd children
-    make it a top, one odd child uses the edge above it.
+    make it a top, one odd child uses the edge above it.  The root has no
+    edge above it, so only its even systems are built.
     """
     below = tree.leaf_masks().below
     systems = {leaf: ([(0, 0, 0)], [(below[leaf], 1 << leaf, 0)]) for leaf in tree.leaves}
-    for v in reversed(tree.interior_nodes):  # children before parents
+    for v in reversed(tree.interior_nodes[1:]):  # children before parents
         a, b = tree.children(v)
         (a_even, a_odd), (b_even, b_odd) = systems.pop(a), systems.pop(b)
         bit = 1 << v
@@ -50,7 +51,8 @@ def path_systems(tree: RootedBinaryTree) -> list:
             _join(a_even, b_even) + _join(a_odd, b_odd, tops=bit),
             _join(a_even, b_odd, edges=bit) + _join(a_odd, b_even, edges=bit),
         )
-    return sorted(systems[tree.root][0])
+    (a_even, a_odd), (b_even, b_odd) = (systems[k] for k in tree.children(tree.root))
+    return sorted(_join(a_even, b_even) + _join(a_odd, b_odd, tops=1 << tree.root))
 
 
 def _join(left, right, edges: int = 0, tops: int = 0) -> list:

@@ -273,6 +273,29 @@ def count_by_vertex_sums(polytope, m: int) -> int:
     return len(pts)
 
 
+def _lagrange(xs, ys):
+    """Power-basis coefficients, ascending, of the polynomial through the
+    points (xs[i], ys[i]), by Lagrange interpolation in Fractions: the
+    oracle of ehrhart_polynomial's forward differences."""
+    n = len(xs)
+    coeffs = [Fraction(0)] * n
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            denom *= xi - xj
+            new = [Fraction(0)] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                new[k] -= c * xj
+                new[k + 1] += c
+            basis = new
+        for k, c in enumerate(basis):
+            coeffs[k] += Fraction(yi) * c / denom
+    return coeffs
+
+
 # -- hull --------------------------------------------------------------------
 
 

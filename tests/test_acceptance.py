@@ -50,6 +50,7 @@ from cfnmc.tree import (
 
 from helpers import (
     FIG_TREE,
+    _lagrange,
     caterpillar,
     caterpillar_zigzag_map,
     class_monomial_value,
@@ -120,6 +121,18 @@ def test_criterion_4_topology_independence(ehrhart_by_leaves):
         polys = {poly.coefficients for _, poly in rows}
         assert len(polys) == 1, n
     _report("criterion 4 (Ehrhart polynomial depends only on n)", "n <= 9")
+
+
+def test_criterion_4_forward_differences_equal_lagrange(ehrhart_by_leaves):
+    # Newton's form from the counts gives the coefficients of Lagrange
+    # interpolation through m = 0..dim
+    for n, rows in ehrhart_by_leaves.items():
+        for tree, poly in rows:
+            nodes = range(poly.degree + 1)
+            assert list(poly.coefficients) == _lagrange(nodes, poly.counts[: len(nodes)]), (
+                n, tree.to_newick(),
+            )
+    _report("criterion 4 (forward differences equal Lagrange interpolation)", "n <= 9")
 
 
 def test_criterion_5_golden_example():

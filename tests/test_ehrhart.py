@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfnmc.ehrhart import (
-    EhrhartPolynomial,
     count_lattice_points,
     df_compression_audit,
     ehrhart_polynomial,
@@ -17,7 +16,6 @@ from cfnmc.ehrhart import (
 )
 from cfnmc.polytope import build_RT, build_RTI, count_monotone_zigzag_maps
 from cfnmc.tree import (
-    NniTriple,
     TreeError,
     apply_nni,
     enumerate_topologies,
@@ -117,6 +115,21 @@ class TestEhrhartPolynomial:
         poly = ehrhart_polynomial(build_RT(caterpillar(6)))
         for m in range(10):
             assert poly(m) >= 1
+
+    @pytest.mark.parametrize("shifted", ["m=1", "m=dim+1"])
+    def test_miscount_fails_out_of_sample_check(self, monkeypatch, shifted):
+        # one count off by one leaves a nonzero forward difference of order
+        # dim + 1, whichever dilate it is
+        import cfnmc.ehrhart as eh
+
+        P = build_RT(caterpillar(6))
+        bad = 1 if shifted == "m=1" else P.dim + 1
+        count = eh.count_lattice_points
+        monkeypatch.setattr(
+            eh, "count_lattice_points", lambda p, m: count(p, m) + (m == bad)
+        )
+        with pytest.raises(ValueError, match="out-of-sample check"):
+            ehrhart_polynomial(P)
 
     def test_h_star_vector(self):
         for n in range(2, 7):

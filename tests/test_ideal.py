@@ -541,34 +541,35 @@ class TestIndexedAgainstScan:
                 gens, _ = construct_generators(t)
                 assert reducedness_report(gens) == reducedness_by_scan(gens), t.to_newick()
 
+    @pytest.mark.slow
+    def test_reducedness_counts_at_eight_leaves(self):
+        for t in enumerate_topologies(8):
+            gens, _ = construct_generators(t)
+            assert reducedness_report(gens) == reducedness_by_scan(gens), t.to_newick()
+
     def test_reducedness_counts_on_unconstructed_inputs(self):
-        # inputs the construction never makes: a cubic beside the quadrics
-        # (its initial x*x*y holds the quadric initial x*y twice among its
-        # three sub-pairs), two generators sharing an initial, a square
-        # initial, a tail its own initial divides, one generator listed
-        # twice, no generator
+        # quadric inputs the construction never makes: no generator, two
+        # generators sharing an initial, a square initial, a tail equal to
+        # its own initial, one generator listed twice.  Terms of other
+        # degrees are refused: a cubic beside the quadrics, a cubic tail its
+        # own initial divides, and both with the quadric cases
         t = parse_newick(FIG_TREE)
         gens, _ = construct_generators(t)
         g = gens[0]
         cubic = MarkedBinomial((g.plus[0], *g.plus), (g.plus[0], *g.minus), "x")
         shared = MarkedBinomial(g.plus, gens[1].minus, "x")
         square = MarkedBinomial((g.minus[0], g.minus[0]), g.plus, "x")
+        zero = MarkedBinomial(g.plus, g.plus, "x")
         own = MarkedBinomial(g.plus, (*g.plus, g.minus[0]), "x")
-        cases = [
-            [],
-            gens + [cubic],
-            gens + [shared],
-            gens + [square],
-            gens + [own],
-            [g, g],
-            gens + [cubic, shared, square, own],
-        ]
         counts = []
-        for case in cases:
+        for case in ([], gens + [shared], gens + [square], gens + [zero], [g, g]):
             rep = reducedness_report(case)
             assert rep == reducedness_by_scan(case), case
             counts.append(rep["violations"])
         assert counts[0] == 0 and all(counts[1:]), counts
+        for case in (gens + [cubic], gens + [own], gens + [cubic, shared, square, own]):
+            with pytest.raises(TreeError, match="quadrics"):
+                reducedness_report(case)
 
     def test_fiber_verdicts_on_prefixes(self):
         # prefixes and seeded random subsets of the generators, caps 1-4 up

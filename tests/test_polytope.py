@@ -10,7 +10,6 @@ from cfnmc.polytope import (
     build_RT,
     build_RTI,
     count_monotone_zigzag_maps,
-    facets_RTI,
     h_reps_match,
     rti_coordinates,
 )

@@ -17,7 +17,6 @@ from cfnmc.tree import (
     is_cluster_tree,
     nni_triples,
     parse_newick,
-    tree_from_shape,
 )
 
 from helpers import (
