@@ -94,15 +94,22 @@ def _human(payload: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
-def _trees_for(args) -> list:
+# Leaf budget of ``ehrhart`` and ``volume``: the tree pass counts every
+# dilate of a 12-leaf shape in milliseconds.  Every other command keeps
+# MAX_LEAVES.
+COUNT_MAX_LEAVES = 12
+
+
+def _trees_for(args, max_leaves: int = MAX_LEAVES) -> list:
+    """The requested trees; ``max_leaves`` is the command's leaf budget."""
     if args.tree is not None:
         tree = parse_newick(args.tree)
-        if tree.n_leaves > MAX_LEAVES:
+        if tree.n_leaves > max_leaves:
             raise TreeError(
-                f"--tree has {tree.n_leaves} leaves, at most {MAX_LEAVES} allowed"
+                f"--tree has {tree.n_leaves} leaves, at most {max_leaves} allowed"
             )
         return [tree]
-    return enumerate_topologies(args.leaves)
+    return enumerate_topologies(args.leaves, max_leaves)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -169,9 +176,8 @@ def cmd_rti_facets(args) -> dict:
 
 def cmd_ehrhart(args) -> dict:
     out = []
-    for tree in _trees_for(args):
-        P = pt.build_RT(tree)
-        poly = eh.ehrhart_polynomial(P)
+    for tree in _trees_for(args, COUNT_MAX_LEAVES):
+        poly = eh.ehrhart_polynomial(tree)
         out.append(
             {
                 "tree": tree.to_newick(),
@@ -186,8 +192,8 @@ def cmd_ehrhart(args) -> dict:
 
 def cmd_volume(args) -> dict:
     out = []
-    for tree in _trees_for(args):
-        vol = eh.normalized_volume(pt.build_RT(tree))
+    for tree in _trees_for(args, COUNT_MAX_LEAVES):
+        vol = eh.normalized_volume(tree)
         want = eh.euler_zigzag(tree.n_leaves - 1)
         if vol != want:
             raise CheckFailure(
@@ -221,7 +227,7 @@ def cmd_groebner_check(args) -> dict:
     for tree in _trees_for(args):
         M = id_.build_matrix(tree)
         gens, order = id_.construct_generators(tree)
-        if not id_.groebner_verify(M, gens, order, eh.normalized_volume(pt.build_RT(tree))):
+        if not id_.groebner_verify(M, gens, order, eh.normalized_volume(tree)):
             sq = all(g.initial_squarefree() for g in gens)
             raise CheckFailure({"tree": tree.to_newick(), "groebner": False, "squarefree": sq})
         out.append(
@@ -326,7 +332,7 @@ def cmd_survey(args) -> dict:
 
     def one(tree):
         P = pt.build_RT(tree)
-        poly = eh.ehrhart_polynomial(P)
+        poly = eh.ehrhart_polynomial(tree)
         return {
             "tree": tree.to_newick(),
             "vertices": len(P.vertices),

@@ -1,20 +1,48 @@
 """Lattice-point counting, Ehrhart interpolation, volume, and NNI audits.
 
-Counts are exact Python integers: a transfer-matrix sweep over the
-coordinates counts the lattice points of every dilate.  The Ehrhart
-polynomial is read off the integer forward differences of the counts
-(Newton's form); only its power-basis coefficients are Fractions.
+Counts are exact Python integers, made by one bottom-up pass over the tree
+(Stanley's transfer-matrix method, EC1 4.7, run along the tree instead of
+along a coordinate order).  The Ehrhart polynomial is read off the integer
+forward differences of the counts (Newton's form); only its power-basis
+coefficients are Fractions.
+
+The rule.  Give every interior node v the value h_v = x_v, except that a
+cluster node (one with three interior neighbours: ``tree.cluster_nodes``,
+the rule that grows the clusters) gets h_v = max(x_v, g_v), with
+g_v = 2 x_v - m + h_k1 + h_k2 over its two interior children.  A point of
+[0, m]^Int lies in m * R_T exactly when h_v <= m - x_parent(v) for every
+non-root interior node v.
+
+Proof.  The facets of m * R_T (``facets_RTI`` with I = Int(T)) are x >= 0,
+the adjacency rows x_v + x_parent(v) <= m, and one row per cluster C,
+sum_C 2x + sum_N(C) x <= (|C| + 1) m, where N(C) is the parent of the top
+t of C together with the children of members that are not members (every
+child of a cluster node is interior).  The adjacency rows and x >= 0 put
+every point in the box: each coordinate shares a row with an interior
+neighbour, and the 2-leaf R_T is the segment [0, 1].  Written as
+sum_C (2x - m) + sum_(N(C) - parent(t)) x <= m - x_parent(t), a cluster row
+has its left side built from the top down: a cluster with top t is {t}
+together with, for each child k of t independently, either nothing (k is
+then a neighbour and adds x_k) or a cluster with top k, which needs k to
+be a cluster node.  So the largest left side over the clusters with top t
+is 2 x_t - m + h_k1 + h_k2 = g_t, by induction on the height of t, and all
+cluster rows with top t hold exactly when g_t <= m - x_parent(t).  With the
+adjacency row at t that is h_t <= m - x_parent(t).  The root is never a
+cluster node and every cluster has one top, so these conditions, one per
+non-root interior node, are every row.  Since h_v reads only coordinates
+below v, each node keeps a table of counts by h_v, and its parent reads the
+tables of its children.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import accumulate
+from math import comb, factorial, prod
 
 from .paths import classify_maintaining, enumerate_topsets, is_blocked, topset_bits
-from .polytope import Polytope, build_RT, facets_RTI
-from .tree import NniTriple, RootedBinaryTree, TreeError, apply_nni
+from .tree import NniTriple, RootedBinaryTree, TreeError, apply_nni, cluster_nodes
 
 
 @dataclass(frozen=True)
@@ -61,92 +89,42 @@ class EhrhartPolynomial:
         return [str(c) for c in self.coefficients]
 
 
-def count_lattice_points(polytope: Polytope, m: int) -> int:
-    """#(Z^dim intersect m * P), counted exactly over the box [0, m]^dim.
+def count_lattice_points(tree: RootedBinaryTree, m: int) -> int:
+    """#(Z^(n-1) intersect m * R_T), by one bottom-up pass over the interior
+    nodes (see the module docstring for the rule and its proof).
 
-    Requires P to be a 0/1 polytope presented by its H-representation, which
-    holds for every R_T and R_T(I) here.  This is the transfer-matrix method
-    (Stanley, EC1 4.7): coordinates are fixed one at a time in index order,
-    and the state is the vector of partial sums of the rows that have both
-    fixed and free coordinates, held with multiplicities.  A value of the
-    next coordinate survives only if every row can still end at most
-    rhs * m (exactly rhs * m for the root equality), given the least and
-    greatest contribution of its free coordinates over [0, m].  A row that
-    holds whatever the free coordinates are has its partial sum raised to
-    the least such value, so all of its satisfied states merge.  Facets of
-    R_T join nodes that are close in the tree, so few rows are open at once.
-    """
+    Each node holds a table over h = 0..m: how many assignments of the
+    coordinates in its subtree meet every condition below the node and give
+    it that h.  A cluster node costs O(m^3), any other node O(m)."""
     if m < 0:
         raise TreeError("dilate must be nonnegative")
-    if not polytope.facets:
-        raise TreeError("polytope has no H-representation")
-    if m == 0:
-        return 1
-    rows = []  # (first and last coordinate in the support, coeffs, bound, exact)
-    for f in polytope.facets:
-        support = [j for j, c in enumerate(f.coeffs) if c]
-        bound = f.rhs * m
-        exact = f.kind == "root_equality"
-        if not support:
-            if (bound != 0) if exact else (bound < 0):
-                return 0
-            continue
-        rows.append((support[0], support[-1], f.coeffs, bound, exact))
-    states = {(): 1}
-    open_rows = []
-    for j in range(polytope.dim):
-        live = open_rows + [r for r in rows if r[0] == j]
-        pad = (0,) * (len(live) - len(open_rows))
-        checks = []  # rows on x_j: (position, coefficient, upper, lower or None)
-        moves = []  # rows on x_j that stay open: (slot, position, coefficient, floor)
-        kept = []
-        for pos, (_, last, coeffs, bound, exact) in enumerate(live):
-            c = coeffs[j]
-            if c:
-                low = m * sum(x for x in coeffs[j + 1 :] if x < 0)
-                high = m * sum(x for x in coeffs[j + 1 :] if x > 0)
-                checks.append((pos, c, bound - low, bound - high if exact else None))
-                if last > j:
-                    moves.append((len(kept), pos, c, None if exact else bound - high))
-            if last > j:
-                kept.append(pos)
-        nxt = {}
-        for state, mult in states.items():
-            p = state + pad
-            lo, hi = 0, m
-            for pos, c, upper, lower in checks:
-                # p + c*v <= upper, and p + c*v >= lower for the equality
-                t = upper - p[pos]
-                if c > 0:
-                    hi = min(hi, t // c)
-                else:
-                    lo = max(lo, -(t // -c))
-                if lower is not None:
-                    t = lower - p[pos]
-                    if c > 0:
-                        lo = max(lo, -(-t // c))
-                    else:
-                        hi = min(hi, -t // -c)
-            if lo > hi:
-                continue
-            out = [p[k] for k in kept]
-            for v in range(lo, hi + 1):
-                for slot, pos, c, floor in moves:
-                    x = p[pos] + c * v
-                    out[slot] = x if floor is None or x > floor else floor
-                key = tuple(out)
-                nxt[key] = nxt.get(key, 0) + mult
-        states = nxt
-        open_rows = [live[k] for k in kept]
-    return sum(states.values())
+    clusters = set(cluster_nodes(tree))
+    tables = {}
+    for v in reversed(tree.interior_nodes):  # children before parents
+        below = [tables.pop(k) for k in tree.children(v) if tree.is_interior(k)]
+        if v in clusters:
+            f1, f2 = below
+            table = [0] * (m + 1)
+            for x in range(m + 1):
+                for h1 in range(m - x + 1):
+                    if f1[h1]:
+                        base = 2 * x - m + h1
+                        for h2 in range(m - x + 1):
+                            g = base + h2
+                            table[g if g > x else x] += f1[h1] * f2[h2]
+        else:
+            sums = [list(accumulate(f)) for f in below]
+            table = [prod(s[m - x] for s in sums) for x in range(m + 1)]
+        tables[v] = table
+    return sum(tables[tree.root])
 
 
-def ehrhart_polynomial(polytope: Polytope) -> EhrhartPolynomial:
+def ehrhart_polynomial(tree: RootedBinaryTree) -> EhrhartPolynomial:
     """Newton's form sum D_k * C(m, k) through m = 0..dim, with D_k the k-th
     forward difference of the counts at 0 (D_dim is the normalized volume),
     verified at m = dim + 1: the counts fit degree dim iff D_(dim+1) = 0."""
-    d = polytope.dim
-    counts = [count_lattice_points(polytope, m) for m in range(d + 2)]
+    d = len(tree.interior_nodes)
+    counts = [count_lattice_points(tree, m) for m in range(d + 2)]
     diffs, row = [], counts
     while row:
         diffs.append(row[0])
@@ -162,8 +140,8 @@ def ehrhart_polynomial(polytope: Polytope) -> EhrhartPolynomial:
     return EhrhartPolynomial(tuple(coeffs), tuple(counts))
 
 
-def normalized_volume(polytope: Polytope) -> int:
-    return ehrhart_polynomial(polytope).normalized_volume
+def normalized_volume(tree: RootedBinaryTree) -> int:
+    return ehrhart_polynomial(tree).normalized_volume
 
 
 def euler_zigzag(n: int) -> int:
@@ -196,10 +174,9 @@ def nni_count_check(
 ) -> dict:
     """Dilate counts of R_T and R_T' for an NNI-adjacent pair.
 
-    ``memo`` maps (facets, m) to a count already made, and each tree's
-    Newick string to its facets; a caller checking many pairs passes one
-    dict so that each tree's facets are built once, and each polytope is
-    built and counted once per dilate."""
+    ``memo`` maps (Newick string, m) to a count already made; a caller
+    checking many pairs passes one dict, so that each tree is counted once
+    per dilate."""
     if m < 1:
         raise TreeError("dilate must be >= 1")
     memo = {} if memo is None else memo
@@ -209,15 +186,11 @@ def nni_count_check(
 
 
 def _memo_count(tree: RootedBinaryTree, m: int, memo: dict) -> int:
-    """The count of m * R_T, keyed by the facets of R_T; building R_T
-    enumerates its vertices, so that happens only on a miss.  The Newick
-    string fixes the facets, so they are built once per tree."""
-    newick = tree.to_newick()
-    if newick not in memo:
-        memo[newick] = tuple(facets_RTI(tree, tree.interior_nodes))
-    key = (memo[newick], m)
+    """The count of m * R_T; the Newick string fixes the tree, so it keys
+    the memo."""
+    key = (tree.to_newick(), m)
     if key not in memo:
-        memo[key] = count_lattice_points(build_RT(tree), m)
+        memo[key] = count_lattice_points(tree, m)
     return memo[key]
 
 

@@ -340,7 +340,7 @@ def parse_newick(text: str) -> RootedBinaryTree:
 # -- shape enumeration ------------------------------------------------------
 
 
-# Largest leaf count the enumerations and the CLI accept.
+# Largest leaf count the enumerations and the CLI accept by default.
 MAX_LEAVES = 10
 
 
@@ -379,14 +379,14 @@ def tree_from_shape(shape) -> RootedBinaryTree:
     return RootedBinaryTree(root, children, leaf_labels)
 
 
-def enumerate_topologies(n: int) -> list:
+def enumerate_topologies(n: int, max_leaves: int = MAX_LEAVES) -> list:
     """One representative per rooted binary shape on n leaves,
-    2 <= n <= MAX_LEAVES.
+    2 <= n <= max_leaves.
 
     Counts follow the Wedderburn-Etherington sequence 1, 1, 2, 3, 6, 11, 23...
     """
-    if not 2 <= n <= MAX_LEAVES:
-        raise TreeError(f"n must be in 2..{MAX_LEAVES}, got {n}")
+    if not 2 <= n <= max_leaves:
+        raise TreeError(f"n must be in 2..{max_leaves}, got {n}")
     return [tree_from_shape(s) for s in _shapes(n)]
 
 

@@ -273,6 +273,88 @@ def count_by_vertex_sums(polytope, m: int) -> int:
     return len(pts)
 
 
+def count_by_sweep(polytope, m: int) -> int:
+    """#(Z^dim intersect m * P), counted exactly over the box [0, m]^dim by a
+    sweep over the coordinates: the oracle of the tree pass in
+    ``cfnmc.ehrhart.count_lattice_points``, and a counter for every R_T(I).
+
+    Requires P to be a 0/1 polytope presented by its H-representation, which
+    holds for every R_T and R_T(I) here.  This is the transfer-matrix method
+    (Stanley, EC1 4.7): coordinates are fixed one at a time in index order,
+    and the state is the vector of partial sums of the rows that have both
+    fixed and free coordinates, held with multiplicities.  A value of the
+    next coordinate survives only if every row can still end at most
+    rhs * m (exactly rhs * m for the root equality), given the least and
+    greatest contribution of its free coordinates over [0, m].  A row that
+    holds whatever the free coordinates are has its partial sum raised to
+    the least such value, so all of its satisfied states merge.  Facets of
+    R_T join nodes that are close in the tree, so few rows are open at once.
+    """
+    if m < 0:
+        raise TreeError("dilate must be nonnegative")
+    if not polytope.facets:
+        raise TreeError("polytope has no H-representation")
+    if m == 0:
+        return 1
+    rows = []  # (first and last coordinate in the support, coeffs, bound, exact)
+    for f in polytope.facets:
+        support = [j for j, c in enumerate(f.coeffs) if c]
+        bound = f.rhs * m
+        exact = f.kind == "root_equality"
+        if not support:
+            if (bound != 0) if exact else (bound < 0):
+                return 0
+            continue
+        rows.append((support[0], support[-1], f.coeffs, bound, exact))
+    states = {(): 1}
+    open_rows = []
+    for j in range(polytope.dim):
+        live = open_rows + [r for r in rows if r[0] == j]
+        pad = (0,) * (len(live) - len(open_rows))
+        checks = []  # rows on x_j: (position, coefficient, upper, lower or None)
+        moves = []  # rows on x_j that stay open: (slot, position, coefficient, floor)
+        kept = []
+        for pos, (_, last, coeffs, bound, exact) in enumerate(live):
+            c = coeffs[j]
+            if c:
+                low = m * sum(x for x in coeffs[j + 1 :] if x < 0)
+                high = m * sum(x for x in coeffs[j + 1 :] if x > 0)
+                checks.append((pos, c, bound - low, bound - high if exact else None))
+                if last > j:
+                    moves.append((len(kept), pos, c, None if exact else bound - high))
+            if last > j:
+                kept.append(pos)
+        nxt = {}
+        for state, mult in states.items():
+            p = state + pad
+            lo, hi = 0, m
+            for pos, c, upper, lower in checks:
+                # p + c*v <= upper, and p + c*v >= lower for the equality
+                t = upper - p[pos]
+                if c > 0:
+                    hi = min(hi, t // c)
+                else:
+                    lo = max(lo, -(t // -c))
+                if lower is not None:
+                    t = lower - p[pos]
+                    if c > 0:
+                        lo = max(lo, -(-t // c))
+                    else:
+                        hi = min(hi, -t // -c)
+            if lo > hi:
+                continue
+            out = [p[k] for k in kept]
+            for v in range(lo, hi + 1):
+                for slot, pos, c, floor in moves:
+                    x = p[pos] + c * v
+                    out[slot] = x if floor is None or x > floor else floor
+                key = tuple(out)
+                nxt[key] = nxt.get(key, 0) + mult
+        states = nxt
+        open_rows = [live[k] for k in kept]
+    return sum(states.values())
+
+
 def _lagrange(xs, ys):
     """Power-basis coefficients, ascending, of the polynomial through the
     points (xs[i], ys[i]), by Lagrange interpolation in Fractions: the

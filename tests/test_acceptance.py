@@ -100,27 +100,27 @@ def test_criterion_2_facet_descriptions():
 
 @pytest.fixture(scope="module")
 def ehrhart_by_leaves():
-    """One Ehrhart polynomial per shape for n = 2..9, shared by criteria 3 and 4."""
+    """One Ehrhart polynomial per shape for n = 2..11, shared by criteria 3 and 4."""
     return {
-        n: [(tree, ehrhart_polynomial(build_RT(tree))) for tree in enumerate_topologies(n)]
-        for n in range(2, 10)
+        n: [(tree, ehrhart_polynomial(tree)) for tree in enumerate_topologies(n, 11)]
+        for n in range(2, 12)
     }
 
 
 def test_criterion_3_normalized_volume(ehrhart_by_leaves):
     expected = {n: euler_zigzag(n - 1) for n in ehrhart_by_leaves}
-    assert list(expected.values()) == [1, 1, 2, 5, 16, 61, 272, 1385]
+    assert list(expected.values()) == [1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]
     for n, want in expected.items():
         for tree, poly in ehrhart_by_leaves[n]:
             assert poly.normalized_volume == want, (n, tree.to_newick())
-    _report("criterion 3 (normalized volume = Euler zig-zag)", "n = 2..9")
+    _report("criterion 3 (normalized volume = Euler zig-zag)", "n = 2..11")
 
 
 def test_criterion_4_topology_independence(ehrhart_by_leaves):
     for n, rows in ehrhart_by_leaves.items():
         polys = {poly.coefficients for _, poly in rows}
         assert len(polys) == 1, n
-    _report("criterion 4 (Ehrhart polynomial depends only on n)", "n <= 9")
+    _report("criterion 4 (Ehrhart polynomial depends only on n)", "n <= 11")
 
 
 def test_criterion_4_forward_differences_equal_lagrange(ehrhart_by_leaves):
@@ -132,7 +132,7 @@ def test_criterion_4_forward_differences_equal_lagrange(ehrhart_by_leaves):
             assert list(poly.coefficients) == _lagrange(nodes, poly.counts[: len(nodes)]), (
                 n, tree.to_newick(),
             )
-    _report("criterion 4 (forward differences equal Lagrange interpolation)", "n <= 9")
+    _report("criterion 4 (forward differences equal Lagrange interpolation)", "n <= 11")
 
 
 def test_criterion_5_golden_example():
@@ -178,7 +178,7 @@ def test_criterion_6_groebner_property():
             M = build_matrix(tree)
             gens, order = construct_generators(tree)
             assert all(g.initial_squarefree() for g in gens), (n, tree.to_newick())
-            volume = normalized_volume(build_RT(tree))
+            volume = normalized_volume(tree)
             assert groebner_verify(M, gens, order, volume), (n, tree.to_newick())
             assert fiber_connectivity(M, gens, 4), (n, tree.to_newick())
     _report(
@@ -195,9 +195,8 @@ def test_criterion_7_order_polytope():
         image = {phi(v) for v in verts}
         assert len(image) == len(verts)
         assert image == set(zigzag_order_polytope_vertices(n))
-        P = build_RT(C)
         for m in range(6):
-            assert count_lattice_points(P, m) == count_monotone_zigzag_maps(n, m)
+            assert count_lattice_points(C, m) == count_monotone_zigzag_maps(n, m)
     _report("criterion 7 (order-polytope isomorphism)", "n <= 6, dilates m <= 5")
 
 

@@ -96,6 +96,22 @@ class TestExitCodes:
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "" and err.startswith("error:"), argv[0]
 
+    def test_counting_commands_leaf_budget(self, capsys):
+        # ehrhart and volume accept 12 leaves, every other command 10; the
+        # error names the budget
+        thirteen = "(" * 12 + "1," + ",".join(f"{i})" for i in range(2, 14)) + ";"
+        for argv, budget in (
+            (("ehrhart", "--leaves", "13"), "12"),
+            (("ehrhart", "--tree", thirteen), "12"),
+            (("volume", "--leaves", "13"), "12"),
+            (("volume", "--tree", thirteen), "12"),
+            (("survey", "--leaves", "11"), "10"),
+            (("vertices", "--leaves", "11"), "10"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith("error:"), argv
+            assert budget in err, (argv, err)
+
     def test_deep_nesting(self, capsys):
         deep = "(" * 1200 + "1," + ",".join(f"{i})" for i in range(2, 1202)) + ";"
         code, out, err = run(capsys, "vertices", "--tree", deep)
@@ -363,6 +379,15 @@ class TestCommands:
         code, out, _ = run(capsys, "volume", "--tree", FIG_TREE, "--json")
         assert code == 0
         assert json.loads(out)["trees"][0]["volume"] == 5
+
+    def test_volume_and_ehrhart_at_twelve_leaves(self, capsys):
+        twelve = "(" * 11 + "1," + ",".join(f"{i})" for i in range(2, 13)) + ";"
+        code, out, _ = run(capsys, "volume", "--tree", twelve, "--json")
+        assert code == 0
+        assert json.loads(out)["trees"][0]["volume"] == 353792  # E_11
+        code, out, _ = run(capsys, "ehrhart", "--tree", twelve, "--json")
+        assert code == 0
+        assert json.loads(out)["trees"][0]["normalized_volume"] == 353792
 
     def test_facets_verify_hull(self, capsys):
         code, _, _ = run(

@@ -28,6 +28,7 @@ from helpers import (
     _is_df_compressed,
     caterpillar,
     count_by_box,
+    count_by_sweep,
     count_by_vertex_sums,
     df_compression_audit_by_reps,
     order_ideals,
@@ -45,74 +46,98 @@ class TestSequences:
 
 class TestCounting:
     def test_m_zero(self):
-        assert count_lattice_points(build_RT(parse_newick(FIG_TREE)), 0) == 1
+        assert count_lattice_points(parse_newick(FIG_TREE), 0) == 1
 
     def test_simplex_m2(self):
         t = parse_newick("((1,2),3);")
-        assert count_lattice_points(build_RT(t), 2) == 6
+        assert count_lattice_points(t, 2) == 6
 
     def test_m_one_is_vertex_count(self):
         for n in range(2, 8):
             for t in enumerate_topologies(n):
                 P = build_RT(t)
-                assert count_lattice_points(P, 1) == len(P.vertices) == fibonacci(n)
+                assert count_lattice_points(t, 1) == len(P.vertices) == fibonacci(n)
 
     def test_scan_equals_vertex_sums(self):
         for n in range(2, 7):
             for t in enumerate_topologies(n):
                 P = build_RT(t)
                 for m in range(P.dim + 2):
-                    assert count_lattice_points(P, m) == count_by_vertex_sums(P, m)
+                    assert count_lattice_points(t, m) == count_by_vertex_sums(P, m)
 
     def test_rti_equals_box(self):
-        # mixed-sign local rows and the root equality of every R_T(I)
+        # mixed-sign local rows and the root equality of every R_T(I), by
+        # the sweep; the tree pass counts I = Int(T), which is R_T
         for n in range(2, 6):
             for t in enumerate_topologies(n):
                 for ideal in order_ideals(t):
                     P = build_RTI(t, ideal)
                     for m in range(4):
-                        assert count_lattice_points(P, m) == count_by_box(P, m), (
-                            t.to_newick(), sorted(t.interior_index(v) for v in ideal), m,
-                        )
+                        where = (t.to_newick(), sorted(t.interior_index(v) for v in ideal), m)
+                        box = count_by_box(P, m)
+                        assert count_by_sweep(P, m) == box, where
+                        if len(ideal) == n - 1:
+                            assert count_lattice_points(t, m) == box, where
+
+    @pytest.mark.parametrize(
+        "n", [*range(2, 10), pytest.param(10, marks=pytest.mark.slow)]
+    )
+    def test_tree_pass_equals_sweep(self, n):
+        for t in enumerate_topologies(n):
+            P = build_RT(t)
+            for m in range(n + 1):
+                assert count_lattice_points(t, m) == count_by_sweep(P, m), (
+                    t.to_newick(), m,
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_newick(10).map(parse_newick), st.data())
+    def test_random_relabeled_trees_equal_sweep(self, tree, data):
+        m = data.draw(st.integers(0, tree.n_leaves))
+        assert count_lattice_points(tree, m) == count_by_sweep(build_RT(tree), m)
 
     @settings(max_examples=60, deadline=None)
     @given(random_newick().map(parse_newick), st.integers(0, 4))
     def test_random_shapes_equal_vertex_sums(self, tree, m):
-        P = build_RT(tree)
-        assert count_lattice_points(P, m) == count_by_vertex_sums(P, m)
+        assert count_lattice_points(tree, m) == count_by_vertex_sums(build_RT(tree), m)
 
     def test_negative_dilate(self):
         with pytest.raises(TreeError):
-            count_lattice_points(build_RT(parse_newick(FIG_TREE)), -1)
+            count_lattice_points(parse_newick(FIG_TREE), -1)
+
+    @pytest.mark.slow
+    def test_eleven_leaf_counts_equal_zigzag_maps(self):
+        # the caterpillar's counts, by its zig-zag order polytope, are the
+        # reference each 11-leaf shape must meet on its own
+        want = [count_monotone_zigzag_maps(10, m) for m in range(12)]
+        for t in enumerate_topologies(11, 11):
+            assert [count_lattice_points(t, m) for m in range(12)] == want, t.to_newick()
 
 
 class TestEhrhartPolynomial:
     def test_simplex(self):
         t = parse_newick("((1,2),3);")
-        poly = ehrhart_polynomial(build_RT(t))
+        poly = ehrhart_polynomial(t)
         # (m+1)(m+2)/2
         assert poly.coefficients == (
             Fraction(1), Fraction(3, 2), Fraction(1, 2),
         )
 
     def test_caterpillar5_lead(self):
-        poly = ehrhart_polynomial(build_RT(caterpillar(5)))
+        poly = ehrhart_polynomial(caterpillar(5))
         assert poly.coefficients[-1] * 24 == 5
 
     def test_constant_term(self):
         for t in enumerate_topologies(5):
-            assert ehrhart_polynomial(build_RT(t)).coefficients[0] == 1
+            assert ehrhart_polynomial(t).coefficients[0] == 1
 
     def test_shape_independence(self):
         for n in range(2, 8):
-            polys = {
-                ehrhart_polynomial(build_RT(t)).coefficients
-                for t in enumerate_topologies(n)
-            }
+            polys = {ehrhart_polynomial(t).coefficients for t in enumerate_topologies(n)}
             assert len(polys) == 1, n
 
     def test_integer_values(self):
-        poly = ehrhart_polynomial(build_RT(caterpillar(6)))
+        poly = ehrhart_polynomial(caterpillar(6))
         for m in range(10):
             assert poly(m) >= 1
 
@@ -122,19 +147,19 @@ class TestEhrhartPolynomial:
         # dim + 1, whichever dilate it is
         import cfnmc.ehrhart as eh
 
-        P = build_RT(caterpillar(6))
-        bad = 1 if shifted == "m=1" else P.dim + 1
+        t = caterpillar(6)
+        bad = 1 if shifted == "m=1" else t.n_leaves
         count = eh.count_lattice_points
         monkeypatch.setattr(
-            eh, "count_lattice_points", lambda p, m: count(p, m) + (m == bad)
+            eh, "count_lattice_points", lambda tree, m: count(tree, m) + (m == bad)
         )
         with pytest.raises(ValueError, match="out-of-sample check"):
-            ehrhart_polynomial(P)
+            ehrhart_polynomial(t)
 
     def test_h_star_vector(self):
         for n in range(2, 7):
             for t in enumerate_topologies(n):
-                poly = ehrhart_polynomial(build_RT(t))
+                poly = ehrhart_polynomial(t)
                 hstar = poly.h_star_vector()
                 assert all(h >= 0 for h in hstar)
                 assert hstar[0] == 1
@@ -146,13 +171,13 @@ class TestVolume:
     def test_zigzag_volume(self, n):
         want = euler_zigzag(n - 1)
         for t in enumerate_topologies(n):
-            assert normalized_volume(build_RT(t)) == want
+            assert normalized_volume(t) == want
 
     def test_caterpillar_matches_order_polytope_counts(self):
         for n in range(1, 7):
-            P = build_RT(caterpillar(n + 1))
+            t = caterpillar(n + 1)
             for m in range(6):
-                assert count_lattice_points(P, m) == count_monotone_zigzag_maps(n, m)
+                assert count_lattice_points(t, m) == count_monotone_zigzag_maps(n, m)
 
 
 class TestNniCounts:
@@ -265,16 +290,16 @@ class TestNniCounts:
                 assert not audit["all_compressed"]
                 assert audit == df_compression_audit_by_reps(t, trip, m, doctored)
 
-    def test_shared_memo_builds_each_polytope_once(self, monkeypatch):
-        # R_T is built only for a (facets, dilate) not counted yet, and the
-        # facets of each tree only once, under its Newick string
+    def test_shared_memo_counts_each_tree_once(self, monkeypatch):
+        # a tree is counted only at a (Newick string, dilate) not counted yet
         import cfnmc.ehrhart as eh
 
-        built, faceted = [], []
-        build_rt, facets_rti = eh.build_RT, eh.facets_RTI
-        monkeypatch.setattr(eh, "build_RT", lambda t: built.append(t) or build_rt(t))
+        counted = []
+        count = eh.count_lattice_points
         monkeypatch.setattr(
-            eh, "facets_RTI", lambda t, i: faceted.append(t) or facets_rti(t, i)
+            eh,
+            "count_lattice_points",
+            lambda t, m: counted.append((t.to_newick(), m)) or count(t, m),
         )
         memo = {}
         newicks = set()
@@ -283,9 +308,8 @@ class TestNniCounts:
                 newicks |= {t.to_newick(), apply_nni(t, trip).to_newick()}
                 for m in (1, 2, 3):
                     nni_count_check(t, trip, m, memo)
-        counts = [key for key in memo if not isinstance(key, str)]
-        assert len(built) == len(counts) == 27
-        assert len(faceted) == len(newicks) == len(memo) - len(counts)
+        want = sorted((newick, m) for newick in newicks for m in (1, 2, 3))
+        assert sorted(counted) == sorted(memo) == want
 
     def test_audit_memo_classifies_each_topset_once(self, monkeypatch):
         # one memo per move: every dilate reuses the classification, and

@@ -20,7 +20,6 @@ from cfnmc.ideal import (
     marking_consistent_with_weights,
     reducedness_report,
 )
-from cfnmc.polytope import build_RT
 from cfnmc.tree import TreeError, enumerate_topologies, is_cluster_tree, parse_newick
 
 from helpers import (
@@ -203,7 +202,7 @@ def certificate_inputs(t):
     """(matrix, generators, order, volume): the arguments groebner-check
     passes to groebner_verify for tree t."""
     gens, order = construct_generators(t)
-    return build_matrix(t), gens, order, normalized_volume(build_RT(t))
+    return build_matrix(t), gens, order, normalized_volume(t)
 
 
 class TestGroebner:

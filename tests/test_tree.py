@@ -161,6 +161,13 @@ class TestTopologies:
         with pytest.raises(TreeError):
             enumerate_topologies(11)
 
+    def test_raised_budget(self):
+        # Wedderburn-Etherington: 207 shapes on 11 leaves, 451 on 12
+        assert len(enumerate_topologies(11, 12)) == 207
+        assert len(enumerate_topologies(12, 12)) == 451
+        with pytest.raises(TreeError):
+            enumerate_topologies(13, 12)
+
     def test_caterpillar_has_one_cherry(self):
         for n in range(2, 9):
             t = caterpillar(n)
