@@ -1,10 +1,12 @@
-"""Exact convex hull H-description over the integers (the facet oracle).
+"""Exact convex hull of integer points (the facet oracle).
 
-Given integer points, computes the affine hull (as integer equalities) and
-the irredundant facet inequalities of the convex hull restricted to the
-affine hull, using the polar dual: translate an interior point to the
-origin, homogenize, and run the double description method on the dual cone.
-All arithmetic is integer/Fraction; no floating point.
+Given integer points, finds a chart of their affine hull (the pivot columns
+that parametrize it) and the facets of their convex hull in that chart,
+using the polar dual: translate the centroid to the origin, homogenize, and
+run the double description method on the dual cone.  Each facet is
+reported as the set of input points it contains, which determines it.  The
+arithmetic is exact: integers throughout, with Fractions only inside
+``rref``.
 
 This is the independent oracle for the closed-form facet descriptions:
 ``polytope.h_reps_match`` runs it for ``survey`` and ``--verify-hull``, and
@@ -26,14 +28,6 @@ def _primitive(vec):
     if g == 0:
         return tuple(vec)
     return tuple(x // g for x in vec)
-
-
-def _int_scale(fracs):
-    """Scale a Fraction vector to a primitive integer vector (same direction)."""
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    return _primitive([int(f * denom) for f in fracs])
 
 
 def rref(rows):
@@ -62,38 +56,13 @@ def rref(rows):
     return rows[:r], pivots
 
 
-def affine_decomposition(points):
-    """Split coordinates into pivots (an affine chart) and dependents.
-
-    Returns (pivots, relations, equalities) where relations maps each
-    non-pivot coordinate j to (beta, {pivot: alpha}) with
-    x_j = beta + sum alpha * x_pivot on the affine hull, and equalities are
-    the same relations as primitive integer rows (coeffs, rhs) for
-    coeffs . x = rhs.
-    """
+def affine_chart(points):
+    """Pivot columns of the affine hull of points: the coordinates that
+    parametrize it, so projecting onto them is one-to-one on the hull and
+    the image is full-dimensional."""
     p0 = points[0]
-    dirs = [[a - b for a, b in zip(p, p0)] for p in points[1:]]
-    reduced, pivots = rref(dirs)
-    d = len(p0)
-    nonpivots = [j for j in range(d) if j not in pivots]
-    relations = {}
-    equalities = []
-    for j in nonpivots:
-        beta = Fraction(p0[j])
-        alphas = {}
-        for row, s in zip(reduced, pivots):
-            if row[j] != 0:
-                alphas[s] = row[j]
-                beta -= row[j] * Fraction(p0[s])
-        relations[j] = (beta, alphas)
-        # x_j - sum alpha x_s = beta
-        coeffs = [Fraction(0)] * d
-        coeffs[j] = Fraction(1)
-        for s, a in alphas.items():
-            coeffs[s] = -a
-        vec = _int_scale(list(coeffs) + [beta])
-        equalities.append((vec[:-1], vec[-1]))
-    return pivots, relations, equalities
+    _, pivots = rref([[a - b for a, b in zip(p, p0)] for p in points[1:]])
+    return pivots
 
 
 def _adjacent(z1, z2, rays):
@@ -171,66 +140,31 @@ def facets_of_full_dim_points(points):
     primitive integer coeffs oriented as coeffs . x <= rhs."""
     d = len(points[0])
     k = len(points)
-    z = [Fraction(sum(p[i] for p in points), k) for i in range(d)]
-    denom = 1
-    for f in z:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    # q_i . w <= t with q_i = p_i - z becomes (denom*q_i) . w - denom*t <= 0.
-    constraints = []
-    for p in points:
-        qi = [int((Fraction(p[i]) - z[i]) * denom) for i in range(d)]
-        constraints.append(tuple([-denom] + qi))
+    total = [sum(p[i] for p in points) for i in range(d)]
+    # The polar about the centroid z = total / k: w . (p - z) <= s for every
+    # p, that is (k p - total) . w - t <= 0 with t = k s.
+    constraints = [tuple([-1] + [k * x - s for x, s in zip(p, total)]) for p in points]
     rays = dd_cone_rays(constraints, d + 1)
     facets = set()
     for ray in rays:
         t, w = ray[0], ray[1:]
         if t <= 0:
             raise ValueError("unexpected ray at infinity; interior point wrong?")
-        # facet: w . (x - z) <= t  ->  w . x <= t + w . z
-        rhs = Fraction(t) + sum(Fraction(wi) * zi for wi, zi in zip(w, z))
-        vec = _int_scale([Fraction(wi) for wi in w] + [rhs])
+        # facet: w . (x - z) <= t / k  ->  k w . x <= t + w . total
+        vec = _primitive([k * wi for wi in w] + [t + _dot(w, total)])
         facets.add((vec[:-1], vec[-1]))
     return sorted(facets)
 
 
-def hull_h_description(points):
-    """(equalities, facets, pivots, relations) of conv(points).
-
-    Facets are expressed in the pivot chart: every facet is a pair
-    (coeffs, rhs) over the pivot coordinates only (expanded with zeros
-    elsewhere), which is the canonical form modulo the affine hull.
-    """
-    pts = sorted(set(map(tuple, points)))
-    if not pts:
-        raise ValueError("no points")
-    d = len(pts[0])
-    pivots, relations, equalities = affine_decomposition(pts)
-    if len(pivots) == 0:
-        return equalities, [], pivots, relations
-    proj = sorted({tuple(p[j] for j in pivots) for p in pts})
-    chart_facets = facets_of_full_dim_points(proj)
-    facets = []
-    for coeffs, rhs in chart_facets:
-        full = [0] * d
-        for val, j in zip(coeffs, pivots):
-            full[j] = val
-        facets.append((tuple(full), rhs))
-    return equalities, sorted(facets), pivots, relations
-
-
-def reduce_to_chart(coeffs, rhs, pivots, relations):
-    """Rewrite coeffs . x <= rhs modulo the affine hull onto the pivot chart,
-    returning the same primitive normal form hull_h_description uses."""
-    d = len(coeffs)
-    out = [Fraction(c) for c in coeffs]
-    new_rhs = Fraction(rhs)
-    for j, (beta, alphas) in relations.items():
-        cj = out[j]
-        if cj == 0:
-            continue
-        out[j] = Fraction(0)
-        new_rhs -= cj * beta
-        for s, a in alphas.items():
-            out[s] += cj * a
-    vec = _int_scale(out + [new_rhs])
-    return vec[:-1], vec[-1]
+def facet_vertex_sets(points):
+    """(affine dimension, facets) of conv(points), each facet given as the
+    frozenset of indices of the points it contains.  A facet is determined
+    by the points on it, so this needs no normal form for the rows."""
+    pivots = affine_chart(points)
+    if not pivots:
+        return 0, set()
+    chart = [tuple(p[j] for j in pivots) for p in points]
+    return len(pivots), {
+        frozenset(i for i, q in enumerate(chart) if _dot(coeffs, q) == rhs)
+        for coeffs, rhs in facets_of_full_dim_points(sorted(set(chart)))
+    }

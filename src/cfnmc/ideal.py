@@ -54,9 +54,6 @@ class ToricMatrix:
         cols = [self._columns[k] for k in keys]
         return tuple(map(sum, zip(*cols))) if cols else (0,) * len(self.rows)
 
-    def to_json_dict(self) -> dict:
-        return {"columns": list(self.keys), "rows": [list(r) for r in self.rows]}
-
 
 @dataclass(frozen=True, slots=True)
 class MarkedBinomial:

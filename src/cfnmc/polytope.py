@@ -14,7 +14,7 @@ compares them against, for ``--verify-hull`` and ``survey``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from operator import mul
 
 from . import hull as _hull
 from .paths import path_systems
@@ -33,17 +33,6 @@ class Inequality:
     coeffs: tuple
     rhs: int
     kind: str
-
-    def normalized(self) -> "Inequality":
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        g = gcd(g, abs(self.rhs))
-        if g > 1:
-            return Inequality(
-                tuple(c // g for c in self.coeffs), self.rhs // g, self.kind
-            )
-        return self
 
 
 @dataclass(frozen=True)
@@ -137,6 +126,11 @@ def facets_RTI(tree: RootedBinaryTree, ideal) -> list:
     inequalities, with the up-edge term y_m(C) present exactly when m(C) is
     maximal in I.  Each family appends its rows through one builder, and the
     append order is the output order.
+
+    Every row is primitive as built, because it has a coefficient ±1.  A
+    cluster row has coefficient 1 on both children of a member with no child
+    in the cluster: cluster nodes have two interior children, and these lie
+    in I because I is downward closed.
     """
     ideal = validate_order_ideal(tree, ideal)
     coords = rti_coordinates(tree, ideal)
@@ -149,7 +143,7 @@ def facets_RTI(tree: RootedBinaryTree, ideal) -> list:
         coeffs = [0] * len(coords)
         for coord, c in terms:
             coeffs[index_of[coord]] = c
-        out.append(Inequality(tuple(coeffs), rhs, kind).normalized())
+        out.append(Inequality(tuple(coeffs), rhs, kind))
 
     if not full:
         row([(("y", s), 1), (("y", t), -1)], 0, "root_equality")
@@ -208,20 +202,30 @@ def facets_RTI(tree: RootedBinaryTree, ideal) -> list:
 
 
 def h_reps_match(polytope: Polytope) -> bool:
-    """True iff the closed-form facets equal the hull oracle's, compared in
-    the chart of the affine hull."""
-    eqs, facets, pivots, relations = _hull.hull_h_description(polytope.vertices)
-    oracle = set(facets)
-    claimed = set()
-    for f in polytope.inequalities:
-        claimed.add(_hull.reduce_to_chart(f.coeffs, f.rhs, pivots, relations))
-    if len(eqs) != len(polytope.equalities):
+    """True iff the closed-form rows are exactly an H-description of the
+    convex hull of the vertices: every row holds on every vertex, every
+    equality is tight on all of them, there are as many equalities as the
+    codimension of the affine hull, and the inequalities are tight on
+    exactly the vertex sets of the hull oracle's facets.  A facet is
+    determined by the vertices it contains, so no normal form of the rows
+    is needed, and a row scaled by a positive factor still matches."""
+    verts = polytope.vertices
+    dim, oracle = _hull.facet_vertex_sets(verts)
+
+    def values(f):
+        return [sum(map(mul, f.coeffs, v)) for v in verts]
+
+    if len(polytope.equalities) != polytope.dim - dim:
         return False
-    for e in polytope.equalities:
-        c, r = _hull.reduce_to_chart(e.coeffs, e.rhs, pivots, relations)
-        if any(x != 0 for x in c) or r != 0:
+    if any(x != e.rhs for e in polytope.equalities for x in values(e)):
+        return False
+    tight_sets = set()
+    for f in polytope.inequalities:
+        vals = values(f)
+        if max(vals) > f.rhs:
             return False
-    return claimed == oracle
+        tight_sets.add(frozenset(i for i, x in enumerate(vals) if x == f.rhs))
+    return tight_sets == oracle
 
 
 # -- zig-zag order polytope -----------------------------------------------------

@@ -13,7 +13,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from hypothesis import strategies as st
 
 from cfnmc.ehrhart import _blocked
-from cfnmc.hull import hull_h_description
+from cfnmc.hull import affine_chart, facets_of_full_dim_points
 from cfnmc.ideal import (
     LiftableOrder,
     MarkedBinomial,
@@ -382,23 +382,23 @@ def _lagrange(xs, ys):
 
 
 class DegenerateInputError(ValueError):
-    """Input points are not full-dimensional; carries the affine hull."""
+    """Input points are not full-dimensional; carries the codimension of
+    their affine hull."""
 
-    def __init__(self, equalities):
-        super().__init__(
-            f"points are not full-dimensional ({len(equalities)} affine equalities)"
-        )
-        self.equalities = equalities
+    def __init__(self, codimension):
+        super().__init__(f"points are not full-dimensional (codimension {codimension})")
+        self.codimension = codimension
 
 
 def hull_facets(points):
     """Irredundant facet list of conv(points) as (coeffs, rhs) pairs, by
-    hull.hull_h_description.  Raises DegenerateInputError for
+    hull.facets_of_full_dim_points.  Raises DegenerateInputError for
     lower-dimensional input."""
-    equalities, facets, _, _ = hull_h_description(points)
-    if equalities:
-        raise DegenerateInputError(equalities)
-    return facets
+    points = sorted(set(map(tuple, points)))
+    codimension = len(points[0]) - len(affine_chart(points))
+    if codimension:
+        raise DegenerateInputError(codimension)
+    return facets_of_full_dim_points(points)
 
 
 # -- polytope maps: contraction and the caterpillar's zig-zag order polytope --

@@ -137,8 +137,9 @@ def test_criterion_4_forward_differences_equal_lagrange(ehrhart_by_leaves):
 
 def test_criterion_5_golden_example():
     tree = parse_newick(FIG_TREE)
+    matrix = build_matrix(tree)
     payload = {
-        "matrix": build_matrix(tree).to_json_dict(),
+        "matrix": {"columns": list(matrix.keys), "rows": [list(r) for r in matrix.rows]},
         "generators": [g.to_json_dict() for g in construct_generators(tree)[0]],
     }
     got = json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -19,16 +19,11 @@ class TestRref:
 
 class TestAffine:
     def test_full_dim(self):
-        _, _, eqs = H.affine_decomposition([(0, 0), (1, 0), (0, 1)])
-        assert eqs == []
+        assert H.affine_chart([(0, 0), (1, 0), (0, 1)]) == [0, 1]
 
     def test_plane_in_3d(self):
         pts = [(0, 0, 0), (1, 0, 1), (0, 1, 1)]
-        pivots, relations, eqs = H.affine_decomposition(pts)
-        assert len(eqs) == 1
-        coeffs, rhs = eqs[0]
-        for p in pts:
-            assert sum(c * x for c, x in zip(coeffs, p)) == rhs
+        assert len(H.affine_chart(pts)) == 2
 
 
 class TestFacets:
@@ -66,10 +61,23 @@ class TestFacets:
             assert sum(1 for v in vals if v == rhs) >= 2
 
 
-class TestChartReduction:
-    def test_reduce_modulo_equality(self):
-        pts = [(0, 0), (1, 1), (1, 1), (2, 2)]
-        eqs, facets, pivots, relations = H.hull_h_description([(0, 0), (1, 1), (2, 2)])
-        # x0 - x1 = 0; the inequality x1 <= 2 becomes x0 <= 2 on the chart
-        got = H.reduce_to_chart((0, 1), 2, pivots, relations)
-        assert got == ((1, 0), 2)
+class TestFacetVertexSets:
+    def test_square_in_3d(self):
+        # a square in the plane x2 = 1 with the corner (1, 1, 1) listed
+        # twice: both copies are on its two edges
+        pts = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 1)]
+        dim, facets = H.facet_vertex_sets(pts)
+        assert dim == 2
+        assert facets == {
+            frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 3, 4}), frozenset({2, 3, 4}),
+        }
+
+    def test_interior_point_on_no_facet(self):
+        pts = list(product((0, 2), repeat=2)) + [(1, 1)]
+        dim, facets = H.facet_vertex_sets(pts)
+        assert dim == 2
+        assert len(facets) == 4
+        assert all(4 not in f for f in facets)
+
+    def test_single_point(self):
+        assert H.facet_vertex_sets([(3, 1)]) == (0, set())

@@ -1,4 +1,6 @@
+from dataclasses import replace
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from cfnmc.polytope import (
     build_RT,
     build_RTI,
     count_monotone_zigzag_maps,
+    facets_RTI,
     h_reps_match,
     rti_coordinates,
 )
@@ -117,13 +120,13 @@ class TestHullOracle:
         t = parse_newick(FACET_TREE)
         P = build_RT(t)
         oracle = set(hull_facets(P.vertices))
-        claimed = {(f.coeffs, f.rhs) for f in map(Inequality.normalized, P.facets)}
+        claimed = {(f.coeffs, f.rhs) for f in P.facets}
         assert oracle == claimed
 
     def test_degenerate_reported(self):
         with pytest.raises(DegenerateInputError) as err:
             hull_facets([(0, 0, 0), (1, 1, 0), (2, 2, 0)])
-        assert err.value.equalities
+        assert err.value.codimension == 2
 
     def test_cross_polytope(self):
         pts = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
@@ -221,6 +224,14 @@ class TestRti:
                         checked += 1
         assert checked == 5 + 19
 
+    def test_rows_primitive(self):
+        # facets_RTI builds no normal form; every row must already be one
+        for n in range(2, 8):
+            for t in enumerate_topologies(n):
+                for I in order_ideals(t):
+                    for f in facets_RTI(t, I):
+                        assert gcd(*f.coeffs, f.rhs) == 1, (t.to_newick(), I, f)
+
     def test_coordinate_count(self):
         for t in enumerate_topologies(5):
             for I in order_ideals(t):
@@ -232,16 +243,12 @@ class TestOracleSensitivity:
     """Negative controls: the hull comparison must notice a wrong H-rep."""
 
     def test_dropped_facet_detected(self):
-        from dataclasses import replace
-
         t = parse_newick(FIG_TREE)
         P = build_RT(t)
         broken = replace(P, facets=P.facets[1:])
         assert not h_reps_match(broken)
 
     def test_extra_valid_inequality_detected(self):
-        from dataclasses import replace
-
         t = parse_newick(FIG_TREE)
         P = build_RT(t)
         # valid but redundant: sum of all coordinates <= dim
@@ -251,8 +258,6 @@ class TestOracleSensitivity:
         assert not h_reps_match(broken)
 
     def test_dropped_rti_family_detected(self):
-        from dataclasses import replace
-
         t = parse_newick(FIG_TREE)
         I = frozenset([t.node_at_index(2)])
         P = build_RTI(t, I)
@@ -263,6 +268,35 @@ class TestOracleSensitivity:
         )
         assert len(keep) < len(P.facets)
         assert not h_reps_match(replace(P, facets=keep))
+
+    def test_flipped_facet_detected(self):
+        # -a . x <= -b is tight on the same vertices as a . x <= b but
+        # violated by every other vertex
+        t = parse_newick(FIG_TREE)
+        P = build_RT(t)
+        f = P.facets[0]
+        flipped = Inequality(tuple(-c for c in f.coeffs), -f.rhs, f.kind)
+        assert not h_reps_match(replace(P, facets=(flipped,) + P.facets[1:]))
+
+    def test_retagged_root_equality_detected(self):
+        t = parse_newick(FIG_TREE)
+        P = build_RTI(t, frozenset([t.node_at_index(2)]))
+        (eq,) = P.equalities
+        facets = tuple(replace(f, kind="cfn_local") if f is eq else f for f in P.facets)
+        assert not h_reps_match(replace(P, facets=facets))
+
+    def test_dropped_root_equality_detected(self):
+        t = parse_newick(FIG_TREE)
+        P = build_RTI(t, frozenset([t.node_at_index(2)]))
+        assert not h_reps_match(replace(P, facets=P.inequalities))
+
+    def test_doubled_facet_accepted(self):
+        # (2a, 2b) defines the same facet as (a, b)
+        t = parse_newick(FIG_TREE)
+        P = build_RT(t)
+        f = P.facets[0]
+        doubled = Inequality(tuple(2 * c for c in f.coeffs), 2 * f.rhs, f.kind)
+        assert h_reps_match(replace(P, facets=(doubled,) + P.facets[1:]))
 
 
 class TestContraction:
