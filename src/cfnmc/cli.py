@@ -13,20 +13,8 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 
-from . import ehrhart as eh
-from . import ideal as id_
-from . import model as md
-from . import polytope as pt
-from .paths import enumerate_topsets, topset_key, vertex_bijection
-from .tree import (
-    MAX_LEAVES,
-    NewickError,
-    TreeError,
-    apply_nni,
-    enumerate_topologies,
-    nni_triples,
-    parse_newick,
-)
+# Only the standard library is imported here: each command imports the
+# layers it reads, so --help and a command line argparse rejects load none.
 
 
 class CheckFailure(Exception):
@@ -100,8 +88,13 @@ def _human(payload: dict, indent: int = 0) -> None:
 COUNT_MAX_LEAVES = 12
 
 
-def _trees_for(args, max_leaves: int = MAX_LEAVES) -> list:
-    """The requested trees; ``max_leaves`` is the command's leaf budget."""
+def _trees_for(args, max_leaves: int | None = None) -> list:
+    """The requested trees; ``max_leaves`` is the command's leaf budget,
+    MAX_LEAVES when not given."""
+    from .tree import MAX_LEAVES, TreeError, enumerate_topologies, parse_newick
+
+    if max_leaves is None:
+        max_leaves = MAX_LEAVES
     if args.tree is not None:
         tree = parse_newick(args.tree)
         if tree.n_leaves > max_leaves:
@@ -116,6 +109,9 @@ def _trees_for(args, max_leaves: int = MAX_LEAVES) -> list:
 
 
 def cmd_vertices(args) -> dict:
+    from . import ehrhart as eh
+    from .paths import enumerate_topsets, topset_key
+
     out = []
     for tree in _trees_for(args):
         keys = sorted(topset_key(tree, s) for s in enumerate_topsets(tree))
@@ -136,6 +132,8 @@ def cmd_vertices(args) -> dict:
 
 
 def cmd_facets(args) -> dict:
+    from . import polytope as pt
+
     out = []
     for tree in _trees_for(args):
         P = pt.build_RT(tree)
@@ -147,6 +145,8 @@ def cmd_facets(args) -> dict:
 def _verify_hull(args, tree, P, entry: dict) -> dict:
     """With --verify-hull, record whether the closed-form facets equal the
     hull oracle's in entry, and fail the check when they do not."""
+    from . import polytope as pt
+
     if args.verify_hull:
         entry["hull_agrees"] = pt.h_reps_match(P)
         if not entry["hull_agrees"]:
@@ -155,6 +155,8 @@ def _verify_hull(args, tree, P, entry: dict) -> dict:
 
 
 def _parse_ideal(tree, spec: str) -> frozenset:
+    from .tree import NewickError
+
     if spec.strip() == "":
         return frozenset()
     try:
@@ -165,6 +167,8 @@ def _parse_ideal(tree, spec: str) -> frozenset:
 
 
 def cmd_rti_facets(args) -> dict:
+    from . import polytope as pt
+
     (tree,) = _trees_for(args)
     ideal = _parse_ideal(tree, args.ideal)
     P = pt.build_RTI(tree, ideal)
@@ -175,6 +179,8 @@ def cmd_rti_facets(args) -> dict:
 
 
 def cmd_ehrhart(args) -> dict:
+    from . import ehrhart as eh
+
     out = []
     for tree in _trees_for(args, COUNT_MAX_LEAVES):
         poly = eh.ehrhart_polynomial(tree)
@@ -191,6 +197,8 @@ def cmd_ehrhart(args) -> dict:
 
 
 def cmd_volume(args) -> dict:
+    from . import ehrhart as eh
+
     out = []
     for tree in _trees_for(args, COUNT_MAX_LEAVES):
         vol = eh.normalized_volume(tree)
@@ -204,6 +212,8 @@ def cmd_volume(args) -> dict:
 
 
 def cmd_gens(args) -> dict:
+    from . import ideal as id_
+
     out = []
     for tree in _trees_for(args):
         gens, order = id_.construct_generators(tree)
@@ -223,6 +233,9 @@ def cmd_gens(args) -> dict:
 
 
 def cmd_groebner_check(args) -> dict:
+    from . import ehrhart as eh
+    from . import ideal as id_
+
     out = []
     for tree in _trees_for(args):
         M = id_.build_matrix(tree)
@@ -237,6 +250,9 @@ def cmd_groebner_check(args) -> dict:
 
 
 def cmd_markov_check(args) -> dict:
+    from . import ideal as id_
+    from .tree import TreeError
+
     if args.degree < 1:
         raise TreeError("--degree must be >= 1")
     out = []
@@ -253,6 +269,10 @@ def cmd_markov_check(args) -> dict:
 
 
 def cmd_model_check(args) -> dict:
+    from . import ideal as id_
+    from . import model as md
+    from .tree import TreeError
+
     if args.samples < 1:
         raise TreeError("--samples must be >= 1")
     if not (math.isfinite(args.tol) and args.tol >= 0):
@@ -277,6 +297,10 @@ def cmd_model_check(args) -> dict:
 
 
 def cmd_nni_check(args) -> dict:
+    from . import ehrhart as eh
+    from .paths import enumerate_topsets, vertex_bijection
+    from .tree import TreeError, apply_nni, nni_triples
+
     if args.dilate < 1:
         raise TreeError("--dilate must be >= 1")
     out = []
@@ -326,6 +350,10 @@ def cmd_nni_check(args) -> dict:
 
 
 def cmd_survey(args) -> dict:
+    from . import ehrhart as eh
+    from . import polytope as pt
+    from .tree import enumerate_topologies
+
     trees = enumerate_topologies(args.leaves)
     want_f = eh.fibonacci(args.leaves)
     want_e = eh.euler_zigzag(args.leaves - 1)
@@ -445,7 +473,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         sys.stderr.write("FAIL " + json.dumps(exc.payload, sort_keys=True) + "\n")
         return 1
-    except (NewickError, TreeError, ValueError) as exc:
+    except ValueError as exc:  # NewickError and TreeError among them
         sys.stderr.write(f"error: {exc}\n")
         return 2
     _emit(args, payload)

@@ -1,19 +1,15 @@
 """Source hygiene: every imported name is read somewhere in its module.
 
-Uses only the standard library's ``ast``.  The package's ``__init__.py`` is
-skipped, since its imports are the public re-exports, and so are
-``from __future__`` imports, which bind no name.
+Uses only the standard library's ``ast``.  Every module of the package is
+checked, ``__init__.py`` included; ``from __future__`` imports are skipped,
+since they bind no name.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(
-    p
-    for p in [*(ROOT / "src" / "cfnmc").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if p != ROOT / "src" / "cfnmc" / "__init__.py"
-)
+SOURCES = sorted([*(ROOT / "src" / "cfnmc").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -36,7 +32,7 @@ def unused_imports(source: str) -> list:
 
 def test_sources_found():
     names = {p.name for p in SOURCES}
-    assert {"ehrhart.py", "helpers.py", "test_hygiene.py"} <= names
+    assert {"__init__.py", "ehrhart.py", "helpers.py", "test_hygiene.py"} <= names
 
 
 def test_no_unused_imports():
