@@ -1,18 +1,17 @@
 """Exact convex hull of integer points (the facet oracle).
 
-Given integer points, finds a chart of their affine hull (the pivot columns
-that parametrize it) and the facets of their convex hull in that chart,
-using the polar dual: translate the centroid to the origin, homogenize, and
-run the double description method on the dual cone.  Each facet is
-reported as the set of input points it contains, which determines it.  The
-arithmetic is exact: integers throughout, with Fractions only inside
-``rref``.
+Translates the centroid to the origin, homogenizes, and runs the double
+description method on the polar cone.  Its extreme rays are the facets, and
+the points each ray is tight on are that facet's vertex set, which
+determines it.  The directions normal to the affine hull are the lineality
+space left at the end, so its dimension is the codimension (Fukuda and
+Prodon, "Double description method revisited", 1996): no chart is needed.
+Integers throughout, with Fractions only in the extremality filter's ``rref``.
 
-This is the independent oracle for the closed-form facet descriptions:
-``polytope.h_reps_match`` runs it for ``survey`` and ``--verify-hull``, and
-the tests run it directly.  Nothing else depends on it.  The plain facet
-list of full-dimensional input, which only the tests use, is
-``hull_facets`` in ``tests/helpers.py``.
+The oracle for the closed-form facets: ``polytope.h_reps_match`` runs it
+for ``survey`` and ``--verify-hull``.  The facet rows of full-dimensional
+input and the pivot-chart projection, which only the tests use, are
+``hull_facets`` and ``facet_vertex_sets_by_chart`` in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -56,23 +55,16 @@ def rref(rows):
     return rows[:r], pivots
 
 
-def affine_chart(points):
-    """Pivot columns of the affine hull of points: the coordinates that
-    parametrize it, so projecting onto them is one-to-one on the hull and
-    the image is full-dimensional."""
-    p0 = points[0]
-    _, pivots = rref([[a - b for a, b in zip(p, p0)] for p in points[1:]])
-    return pivots
-
-
 def _adjacent(z1, z2, rays):
     common = z1 & z2
     return not any(common <= z3 for r, z3 in rays if z3 is not z1 and z3 is not z2)
 
 
 def dd_cone_rays(constraints, dim):
-    """Extreme rays of {x : c . x <= 0 for all c}, assuming the result is
-    pointed.  Double description with lineality tracking; integer arithmetic."""
+    """Extreme rays of {x : c . x <= 0 for all c} modulo its lineality
+    space, as (ray, frozenset of the constraints it is tight on) pairs, and
+    the dimension of that lineality space.  Double description with
+    lineality tracking; integer arithmetic."""
     lineality = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
     rays = []  # (vector, frozen tight-set of constraint indices)
 
@@ -109,62 +101,42 @@ def dd_cone_rays(constraints, dim):
                 a, b = _dot(c, rp), _dot(c, rn)  # a > 0, b < 0
                 w = _primitive([-b * x + a * y for x, y in zip(rp, rn)])
                 new.append((w, (zp & zn) | {idx}))
-        merged = neg + zero + new
         seen = {}
-        for r, z in merged:
-            if r in seen:
-                seen[r] = seen[r] | z
-            else:
-                seen[r] = z
+        for r, z in neg + zero + new:
+            seen[r] = seen[r] | z if r in seen else z
         rays = list(seen.items())
 
-    if lineality:
-        raise ValueError("cone has lineality; input not full-dimensional")
     # Final extremality filter: a ray is extreme iff its tight constraints
-    # have rank dim - 1.
+    # have rank dim - 1 - len(lineality), as all vanish on the lineality.
     out = []
     for r, z in rays:
         tight = [constraints[i] for i in sorted(z)]
         _, piv = rref(tight)
-        if len(piv) == dim - 1:
-            out.append(r)
-    return out
+        if len(piv) == dim - 1 - len(lineality):
+            out.append((r, z))
+    return out, len(lineality)
 
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def facets_of_full_dim_points(points):
-    """Facets (coeffs, rhs) of conv(points) assumed full-dimensional, with
-    primitive integer coeffs oriented as coeffs . x <= rhs."""
-    d = len(points[0])
+def polar_constraints(points):
+    """Rows c of the polar cone {c . (t, w) <= 0} about the centroid
+    z = total / k: the ray (t, w) is the face w . (x - z) <= t / k."""
     k = len(points)
-    total = [sum(p[i] for p in points) for i in range(d)]
-    # The polar about the centroid z = total / k: w . (p - z) <= s for every
-    # p, that is (k p - total) . w - t <= 0 with t = k s.
-    constraints = [tuple([-1] + [k * x - s for x, s in zip(p, total)]) for p in points]
-    rays = dd_cone_rays(constraints, d + 1)
-    facets = set()
-    for ray in rays:
-        t, w = ray[0], ray[1:]
-        if t <= 0:
-            raise ValueError("unexpected ray at infinity; interior point wrong?")
-        # facet: w . (x - z) <= t / k  ->  k w . x <= t + w . total
-        vec = _primitive([k * wi for wi in w] + [t + _dot(w, total)])
-        facets.add((vec[:-1], vec[-1]))
-    return sorted(facets)
+    total = [sum(c) for c in zip(*points)]
+    return [tuple([-1] + [k * x - s for x, s in zip(p, total)]) for p in points]
 
 
 def facet_vertex_sets(points):
     """(affine dimension, facets) of conv(points), each facet given as the
     frozenset of indices of the points it contains.  A facet is determined
     by the points on it, so this needs no normal form for the rows."""
-    pivots = affine_chart(points)
-    if not pivots:
+    d = len(points[0])
+    rays, codimension = dd_cone_rays(polar_constraints(points), d + 1)
+    if codimension == d:  # one point: its ray (1, 0) is tight on no point
         return 0, set()
-    chart = [tuple(p[j] for j in pivots) for p in points]
-    return len(pivots), {
-        frozenset(i for i, q in enumerate(chart) if _dot(coeffs, q) == rhs)
-        for coeffs, rhs in facets_of_full_dim_points(sorted(set(chart)))
-    }
+    if any(t <= 0 for (t, *_), _ in rays):
+        raise ValueError("unexpected ray at infinity; interior point wrong?")
+    return d - codimension, {tight for _, tight in rays}

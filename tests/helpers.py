@@ -9,11 +9,12 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import mul
 
 from hypothesis import strategies as st
 
 from cfnmc.ehrhart import _blocked
-from cfnmc.hull import affine_chart, facets_of_full_dim_points
+from cfnmc.hull import _primitive, dd_cone_rays, polar_constraints, rref
 from cfnmc.ideal import (
     LiftableOrder,
     MarkedBinomial,
@@ -391,14 +392,36 @@ class DegenerateInputError(ValueError):
 
 
 def hull_facets(points):
-    """Irredundant facet list of conv(points) as (coeffs, rhs) pairs, by
-    hull.facets_of_full_dim_points.  Raises DegenerateInputError for
+    """Irredundant facet list of conv(points) as (coeffs, rhs) pairs, with
+    primitive integer coeffs oriented as coeffs . x <= rhs, read off the
+    rays of hull.polar_constraints.  Raises DegenerateInputError for
     lower-dimensional input."""
     points = sorted(set(map(tuple, points)))
-    codimension = len(points[0]) - len(affine_chart(points))
+    k, total = len(points), [sum(c) for c in zip(*points)]
+    rays, codimension = dd_cone_rays(polar_constraints(points), len(total) + 1)
     if codimension:
         raise DegenerateInputError(codimension)
-    return facets_of_full_dim_points(points)
+    facets = set()
+    for (t, *w), _ in rays:
+        # the facet w . (x - total / k) <= t / k, times k
+        vec = _primitive([k * x for x in w] + [t + sum(map(mul, w, total))])
+        facets.add((vec[:-1], vec[-1]))
+    return sorted(facets)
+
+
+def facet_vertex_sets_by_chart(points):
+    """hull.facet_vertex_sets by a chart of the affine hull: project onto the
+    pivot columns of the differences to the first point, where the points
+    are full-dimensional, take the facet rows there by hull_facets and read
+    off the points on each."""
+    _, pivots = rref([[a - b for a, b in zip(p, points[0])] for p in points[1:]])
+    if not pivots:
+        return 0, set()
+    chart = [tuple(p[j] for j in pivots) for p in points]
+    return len(pivots), {
+        frozenset(i for i, q in enumerate(chart) if sum(map(mul, coeffs, q)) == rhs)
+        for coeffs, rhs in hull_facets(chart)
+    }
 
 
 # -- polytope maps: contraction and the caterpillar's zig-zag order polytope --
