@@ -1,8 +1,9 @@
 """Command-line front end: verifications and exports for every module.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed (a minimal
-counterexample is printed), 2 malformed input.  --json emits deterministic
-machine output; identical requests print byte-identical JSON.
+counterexample is printed), 2 malformed input, 141 (128 + SIGPIPE) the
+reader closed stdout before the output was written.  --json emits
+deterministic machine output; identical requests print byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -10,7 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from collections.abc import Iterator
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 # Only the standard library is imported here: each command imports the
@@ -26,10 +30,40 @@ class CheckFailure(Exception):
 
 
 def _emit(args, payload: dict) -> None:
+    """Print payload, as JSON with --json and as indented lines without.
+
+    A payload value may be a lazy iterator, which prints as the list it
+    yields.  The JSON is json.dumps(payload, sort_keys=True, indent=2) and a
+    newline, written as it is encoded: each element of the payload and of
+    its top-level containers goes through _dumps and straight to stdout, so
+    no string of the whole document is built, and a lazy list's items are
+    garbage once their text is written."""
     if args.json:
-        print(_dumps(payload))
+        _write(payload, sys.stdout.write)
+        sys.stdout.write("\n")
     else:
         _human(payload)
+
+
+def _write(value, write, pad: str = "\n", depth: int = 2) -> None:
+    """write(_dumps(value, pad)) in pieces: a dict, list, tuple or iterator
+    in the top depth levels is written one element at a time."""
+    if depth and isinstance(value, dict):
+        items = ((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(value.items()))
+        brackets = "{}"
+    elif depth and isinstance(value, (list, tuple, Iterator)):
+        items = (("", v) for v in value)
+        brackets = "[]"
+    else:
+        write(_dumps(value, pad))
+        return
+    inner = pad + "  "
+    sep = brackets[0] + inner
+    for key, v in items:
+        write(sep + key)
+        _write(v, write, inner, depth - 1)
+        sep = "," + inner
+    write(pad + brackets[1] if sep[0] == "," else brackets)  # empty: "{}" or "[]"
 
 
 def _dumps(value, pad: str = "\n") -> str:
@@ -70,9 +104,14 @@ def _human(payload: dict, indent: int = 0) -> None:
         if isinstance(value, dict):
             print(f"{pad}{key}:")
             _human(value, indent + 1)
-        elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        elif isinstance(value, (list, Iterator)):
+            items = iter(value)
+            head = list(islice(items, 1))
+            if not (head and isinstance(head[0], (dict, list))):
+                print(f"{pad}{key}: {head + list(items)}")
+                continue
             print(f"{pad}{key}:")
-            for item in value:
+            for item in chain(head, items):
                 if isinstance(item, dict):
                     print(f"{pad}  -")
                     _human(item, indent + 2)
@@ -212,24 +251,24 @@ def cmd_volume(args) -> dict:
 
 
 def cmd_gens(args) -> dict:
+    """Each tree's entry is built only as it is printed.  _trees_for raises
+    every malformed-input error, so nothing is printed before one."""
     from . import ideal as id_
 
-    out = []
-    for tree in _trees_for(args):
+    def entry(tree) -> dict:
         gens, order = id_.construct_generators(tree)
-        out.append(
-            {
-                "tree": tree.to_newick(),
-                "generators": [g.to_json_dict() for g in gens],
-                "reduced": id_.reducedness_report(gens)["reduced"],
-                "order": {
-                    "block_kind": order.block_kind,
-                    "block_tag": dict(sorted(order.block_tag.items())),
-                    "weight": {k: str(v) for k, v in sorted(order.weight.items())},
-                },
-            }
-        )
-    return {"trees": out}
+        return {
+            "tree": tree.to_newick(),
+            "generators": [g.to_json_dict() for g in gens],
+            "reduced": id_.reducedness_report(gens)["reduced"],
+            "order": {
+                "block_kind": order.block_kind,
+                "block_tag": dict(sorted(order.block_tag.items())),
+                "weight": {k: str(v) for k, v in sorted(order.weight.items())},
+            },
+        }
+
+    return {"trees": map(entry, _trees_for(args))}
 
 
 def cmd_groebner_check(args) -> dict:
@@ -476,7 +515,15 @@ def main(argv=None) -> int:
     except ValueError as exc:  # NewickError and TreeError among them
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(args, payload)
+    try:
+        _emit(args, payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point fd 1 at devnull, as the signal module's
+        # docs advise, so the flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     return 0
 
 

@@ -1,12 +1,19 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfnmc.cli import _dumps, _emit, main
+from cfnmc.cli import _emit, main
 
 from helpers import FACET_TREE, FIG_TREE
 
@@ -128,6 +135,31 @@ class TestExitCodes:
         for argv in (("--tree", "(1,2);"), ("--leaves", "2"), ("--leaves", "3")):
             code, out, err = run(capsys, "model-check", *argv, "--samples", "2")
             assert code == 2 and out == "" and err.startswith("error:"), argv
+
+    def test_gens_malformed_input_prints_nothing(self, capsys):
+        # gens builds its tree entries as it prints them; every malformed
+        # input is rejected before the first byte
+        for argv in (("--leaves", "1"), ("--leaves", "11"), ("--tree", "1;")):
+            for fmt in ((), ("--json",)):
+                code, out, err = run(capsys, "gens", *argv, *fmt)
+                assert code == 2 and out == "" and err.startswith("error:"), argv
+
+    def test_closed_pipe(self):
+        # a reader that stops early: exit 141 (128 + SIGPIPE), no traceback
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cfnmc.cli", "gens", "--leaves", "8", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        with proc:
+            assert proc.stdout.read(100).startswith(b'{\n  "trees": [')
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        assert err == b""
 
     def test_dilate_below_one(self, capsys):
         # below 1, and above n - 1, where the counts at m = 1..n-1 already
@@ -314,24 +346,52 @@ JSON_VALUES = st.recursive(
 )
 
 
+def emitted(value) -> str:
+    """What --json prints for payload value."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(argparse.Namespace(json=True), value)
+    return out.getvalue()
+
+
+def want(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
 class TestJsonWriter:
     @given(JSON_VALUES)
     @settings(max_examples=300, deadline=None)
     def test_matches_json_dumps(self, value):
-        assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert emitted(value) == want(value)
+        if isinstance(value, list):
+            # a lazy list prints as the list it yields
+            assert emitted(iter(value)) == want(value)
+            assert emitted({"trees": iter(value)}) == want({"trees": value})
+
+    def test_empty_lazy_list(self):
+        assert emitted(iter([])) == "[]\n"
+        assert emitted({"trees": iter([])}) == '{\n  "trees": []\n}\n'
 
     @given(st.lists(st.text(), max_size=5))
     @settings(max_examples=200, deadline=None)
     def test_string_lists_and_tuples(self, strings):
         # non-ASCII and empty strings come from st.text()
         for value in (strings, tuple(strings), {"k": strings}, [strings, [strings]]):
-            assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+            assert emitted(value) == want(value)
 
     @given(st.dictionaries(st.text(max_size=4), st.text(), max_size=5))
     @settings(max_examples=200, deadline=None)
     def test_dicts_of_strings(self, value):
         for nested in (value, {"d": value}, [value, value]):
-            assert _dumps(nested) == json.dumps(nested, sort_keys=True, indent=2)
+            assert emitted(nested) == want(nested)
 
     def test_fixed_string_cases(self):
         cases = [
@@ -344,14 +404,34 @@ class TestJsonWriter:
             {"a": ["x", 2], "b": [], "c": {}, "d": "", "e": ("t",)},
         ]
         for value in cases:
-            assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2), value
+            assert emitted(value) == want(value), value
 
-    def test_tuples_and_non_str_keys(self, capsys):
-        # tuples print as lists
-        payload = {"a": (1, (2,)), "b": ()}
-        _emit(argparse.Namespace(json=True), payload)
-        want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        assert capsys.readouterr().out == want
+    def test_tuples_and_non_str_keys(self):
+        # tuples print as lists, at every depth
+        payload = {"a": (1, (2,)), "b": (), "c": [{"d": ((3,), ())}]}
+        assert emitted(payload) == want(payload)
+
+    def test_human_lazy_list(self, capsys):
+        # a lazy list prints as the list it yields without --json too
+        human = argparse.Namespace(json=False)
+        for items in ([], [1, "a"], [{"a": 1}, {"b": [2]}], [[1], [2]]):
+            _emit(human, {"k": items})
+            eager = capsys.readouterr().out
+            _emit(human, {"k": iter(items)})
+            assert capsys.readouterr().out == eager, items
+
+    def test_gens_memory(self):
+        # --json writes each tree entry as it is built; holding every entry
+        # and then the whole 1.7 MB document as one string peaked at 6.0 MB
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(["gens", "--leaves", "4", "--json"]) == 0  # load the layers
+            tracemalloc.start()
+            try:
+                assert main(["gens", "--leaves", "8", "--json"]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.5e6, peak
 
 
 class TestSurvey:
