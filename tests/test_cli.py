@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfnmc.cli import _emit, main
+from cfnmc import commands
+from cfnmc.cli import build_parser, main
+from cfnmc.commands import _emit
 
 from helpers import FACET_TREE, FIG_TREE
 
@@ -118,6 +120,13 @@ class TestExitCodes:
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "" and err.startswith("error:"), argv
             assert budget in err, (argv, err)
+
+    @pytest.mark.parametrize("newick", ["(1,", "(", "((1,2),"])
+    def test_truncated_newick(self, capsys, newick):
+        # input that ends inside a subtree is malformed, not a crash
+        code, out, err = run(capsys, "vertices", "--tree", newick)
+        assert code == 2 and out == ""
+        assert err.startswith("error: unexpected end of input"), err
 
     def test_deep_nesting(self, capsys):
         deep = "(" * 1200 + "1," + ",".join(f"{i})" for i in range(2, 1202)) + ";"
@@ -443,6 +452,29 @@ class TestSurvey:
         assert payload["vertices"] == 8
         assert payload["volume"] == 5
         assert payload["ehrhart_identical"] is True
+
+
+def subcommands(parser) -> list:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(action.choices)
+
+
+class TestDispatch:
+    """main calls commands.cmd_<name> for the subcommand <name>, a dash read
+    as an underscore, so the names must match on both sides."""
+
+    def test_every_subcommand_has_one_handler(self):
+        names = subcommands(build_parser())
+        handlers = {name for name, fn in vars(commands).items() if name.startswith("cmd_") and callable(fn)}
+        assert {"cmd_" + name.replace("-", "_") for name in names} == handlers
+        assert names
+
+    @pytest.mark.parametrize("name", subcommands(build_parser()))
+    def test_subcommand_help(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: cfnmc {name} ")
 
 
 class TestCommands:

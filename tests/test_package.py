@@ -1,8 +1,9 @@
 """The package's public names and what the CLI imports.
 
-``cfnmc`` resolves its public names on first access, and ``cfnmc.cli``
-imports each layer only in the commands that read it.  The import checks
-run in a fresh interpreter, since this one has every layer loaded.
+``cfnmc`` resolves its public names on first access, ``cfnmc.cli`` imports
+``cfnmc.commands`` only once a command line has parsed, and each command
+imports only the layers it reads.  The import checks run in a fresh
+interpreter, since this one has every layer loaded.
 """
 
 import importlib
@@ -75,9 +76,10 @@ EXPORTS = {
 }
 
 
-def loaded_layers(prelude: str, argv=None) -> set:
-    """The layers a fresh interpreter holds after running prelude and, given
-    argv, ``cli.main(argv)``, which must exit 0."""
+def loaded_modules(prelude: str, argv=None, exit_code: int = 0) -> set:
+    """The cfnmc modules, without the prefix, that a fresh interpreter holds
+    after running prelude and, given argv, ``cli.main(argv)``, which must
+    return or raise SystemExit with exit_code."""
     script = "\n".join(
         [
             "import contextlib, io, json, sys",
@@ -86,7 +88,10 @@ def loaded_layers(prelude: str, argv=None) -> set:
             f"argv = {argv!r}",
             "if argv is not None:",
             "    with contextlib.redirect_stdout(io.StringIO()):",
-            "        code = cli.main(argv)",
+            "        try:",
+            "            code = cli.main(argv)",
+            "        except SystemExit as exc:",
+            "            code = exc.code",
             "print(json.dumps([code, sorted(sys.modules)]))",
         ]
     )
@@ -99,8 +104,13 @@ def loaded_layers(prelude: str, argv=None) -> set:
         check=True,
     )
     code, modules = json.loads(proc.stdout)
-    assert code == 0, proc.stderr
-    return {m.removeprefix("cfnmc.") for m in modules if m.startswith("cfnmc.")} & LAYERS
+    assert code == exit_code, proc.stderr
+    return {m.removeprefix("cfnmc.") for m in modules if m.startswith("cfnmc.")}
+
+
+def loaded_layers(prelude: str, argv=None) -> set:
+    """The layers loaded_modules finds, with ``cli.main(argv)`` exiting 0."""
+    return loaded_modules(prelude, argv) & LAYERS
 
 
 CLI = "from cfnmc import cli\ncli.build_parser()"
@@ -115,6 +125,18 @@ class TestImportBudget:
 
     def test_name_loads_its_module(self):
         assert loaded_layers("import cfnmc\ncfnmc.fibonacci") == {"ehrhart", "paths", "tree"}
+
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [(None, 0), (["--help"], 0), (["gens", "--leaves", "x"], 2)],
+        ids=["build_parser", "help", "rejected"],
+    )
+    def test_parsing_loads_no_command_module(self, argv, exit_code):
+        # the command bodies compile only once a command line has parsed
+        assert "commands" not in loaded_modules(CLI, argv, exit_code)
+
+    def test_command_loads_command_module(self):
+        assert "commands" in loaded_modules(CLI, ["vertices", "--leaves", "4"])
 
     @pytest.mark.parametrize(
         "command, absent",
