@@ -30,6 +30,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def subcommands(parser) -> list:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(action.choices)
+
+
 class TestExitCodes:
     def test_ok(self, capsys):
         code, out, _ = run(capsys, "vertices", "--tree", "(1,2);")
@@ -120,6 +125,13 @@ class TestExitCodes:
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "" and err.startswith("error:"), argv
             assert budget in err, (argv, err)
+
+    @pytest.mark.parametrize("name", subcommands(build_parser()))
+    def test_subcommand_help(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: cfnmc {name} ")
 
     @pytest.mark.parametrize("newick", ["(1,", "(", "((1,2),"])
     def test_truncated_newick(self, capsys, newick):
@@ -454,11 +466,6 @@ class TestSurvey:
         assert payload["ehrhart_identical"] is True
 
 
-def subcommands(parser) -> list:
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return sorted(action.choices)
-
-
 class TestDispatch:
     """main calls commands.cmd_<name> for the subcommand <name>, a dash read
     as an underscore, so the names must match on both sides."""
@@ -468,13 +475,6 @@ class TestDispatch:
         handlers = {name for name, fn in vars(commands).items() if name.startswith("cmd_") and callable(fn)}
         assert {"cmd_" + name.replace("-", "_") for name in names} == handlers
         assert names
-
-    @pytest.mark.parametrize("name", subcommands(build_parser()))
-    def test_subcommand_help(self, capsys, name):
-        with pytest.raises(SystemExit) as exc:
-            main([name, "--help"])
-        assert exc.value.code == 0
-        assert capsys.readouterr().out.startswith(f"usage: cfnmc {name} ")
 
 
 class TestCommands:
